@@ -1,5 +1,6 @@
 // Wall-clock performance harness for the hot paths this repo's benches
-// lean on: page hashing (uncached vs memoized), digest-set construction
+// lean on: page digests (real MD5 over materialized pages, the closed-form
+// seed-mode digest), digest-set construction
 // and membership probing (flat hash set vs the sorted-vector baseline it
 // replaced), simulator event throughput, and the full six-strategy
 // migration sweep of bench_fig5. Workloads are deterministic (fixed
@@ -19,7 +20,6 @@
 #include "core/cluster.hpp"
 #include "core/scheduler.hpp"
 #include "core/vm_instance.hpp"
-#include "digest/digest_memo.hpp"
 #include "digest/digest_set.hpp"
 #include "digest/hasher.hpp"
 #include "sim/simulator.hpp"
@@ -85,7 +85,6 @@ Result BenchPageHashMaterialized() {
                          vm::ContentMode::kMaterialized);
   Xoshiro256 rng(7);
   for (vm::PageId p = 0; p < kPages; ++p) memory.WritePage(p, rng.Next());
-  memory.SetDigestCacheEnabled(false);  // honest MD5 per call
   return Measure("page_hash_materialized", kPages, kPageSize, 10, [&] {
     for (vm::PageId p = 0; p < kPages; ++p) {
       volatile std::uint64_t sink = memory.PageDigest(p).words[0];
@@ -94,29 +93,13 @@ Result BenchPageHashMaterialized() {
   });
 }
 
-Result BenchPageHashSeed() {
+Result BenchPageDigestSeed() {
   constexpr std::uint64_t kPages = 65536;
   vm::GuestMemory memory(Bytes{kPages * kPageSize},
                          vm::ContentMode::kSeedOnly);
   Xoshiro256 rng(7);
   for (vm::PageId p = 0; p < kPages; ++p) memory.WritePage(p, rng.Next());
-  memory.SetDigestCacheEnabled(false);
-  return Measure("page_hash_seed", kPages, 0, 10, [&] {
-    for (vm::PageId p = 0; p < kPages; ++p) {
-      volatile std::uint64_t sink = memory.PageDigest(p).words[0];
-      (void)sink;
-    }
-  });
-}
-
-Result BenchPageDigestCached() {
-  constexpr std::uint64_t kPages = 65536;
-  vm::GuestMemory memory(Bytes{kPages * kPageSize},
-                         vm::ContentMode::kSeedOnly);
-  Xoshiro256 rng(7);
-  for (vm::PageId p = 0; p < kPages; ++p) memory.WritePage(p, rng.Next());
-  for (vm::PageId p = 0; p < kPages; ++p) (void)memory.PageDigest(p);
-  return Measure("page_digest_cached", kPages, 0, 10, [&] {
+  return Measure("page_digest_seed", kPages, 0, 10, [&] {
     for (vm::PageId p = 0; p < kPages; ++p) {
       volatile std::uint64_t sink = memory.PageDigest(p).words[0];
       (void)sink;
@@ -286,14 +269,12 @@ int main(int argc, char** argv) {
 
   std::vector<Result> results;
   results.push_back(BenchPageHashMaterialized());
-  results.push_back(BenchPageHashSeed());
-  results.push_back(BenchPageDigestCached());
+  results.push_back(BenchPageDigestSeed());
   results.push_back(BenchDigestSetBuild());
   results.push_back(BenchDigestSetProbe(/*hit=*/true));
   results.push_back(BenchDigestSetProbe(/*hit=*/false));
   results.push_back(BenchSortedVectorProbe());
   results.push_back(BenchSimulatorEvents());
-  SeedDigestMemo::Instance().Clear();  // sweep warms its own memo
   results.push_back(BenchMigrationSweep());
   results.push_back(BenchFleetSweep());
 

@@ -24,10 +24,9 @@ namespace vecycle::core {
 
 class VmInstance {
  public:
-  VmInstance(std::string id, Bytes ram, vm::ContentMode mode,
-             DigestAlgorithm algorithm = DigestAlgorithm::kMd5)
+  VmInstance(std::string id, Bytes ram, vm::ContentMode mode)
       : id_(std::move(id)),
-        memory_(std::make_unique<vm::GuestMemory>(ram, mode, algorithm)) {}
+        memory_(std::make_unique<vm::GuestMemory>(ram, mode)) {}
 
   [[nodiscard]] const std::string& Id() const { return id_; }
   [[nodiscard]] vm::GuestMemory& Memory() { return *memory_; }

@@ -1,22 +1,12 @@
 #include "digest/digest_map.hpp"
 
 #include "common/check.hpp"
-#include "common/rng.hpp"
+#include "digest/digest_set.hpp"
 
 namespace vecycle {
 
-namespace {
-
-/// Same slot hash as DigestSet: SplitMix64 of the low word, so FNV-widened
-/// digests (high word zero) still spread across the table.
-std::uint64_t SlotHash(const Digest128& digest) {
-  return SplitMix64(digest.words[1]).Next();
-}
-
-}  // namespace
-
 std::uint64_t DigestMap::IdealIndex(const Digest128& digest) const {
-  return SlotHash(digest) & mask_;
+  return DigestSlotHash(digest) & mask_;
 }
 
 void DigestMap::Grow() {

@@ -1,7 +1,7 @@
 // Flat open-addressing map from 128-bit digests to 64-bit values.
 //
 // Sibling of DigestSet (the §3.3 membership structure): same power-of-two
-// table, same SplitMix64 slot hash over the digest's low word, same
+// table, same slot hash (DigestSlotHash, over both digest words), same
 // <= 50% load factor — but each slot carries a value, and entries can be
 // erased. The chunk store uses it as its content index: chunk digest ->
 // slot in the chunk arena. Erasure uses backward-shift deletion instead

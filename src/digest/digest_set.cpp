@@ -2,18 +2,9 @@
 
 #include <algorithm>
 
-#include "common/rng.hpp"
-
 namespace vecycle {
 
 namespace {
-
-/// Slot index for a digest: SplitMix64 of the low word. Digests from the
-/// cryptographic algorithms are already uniform, but FNV-widened digests
-/// are not — the mix makes the table insensitive to the algorithm choice.
-std::uint64_t SlotHash(const Digest128& digest) {
-  return SplitMix64(digest.words[1]).Next();
-}
 
 std::uint64_t NextPowerOfTwo(std::uint64_t n) {
   std::uint64_t p = 1;
@@ -42,7 +33,7 @@ void DigestSet::Insert(const Digest128& digest) {
     }
     return;
   }
-  std::uint64_t index = SlotHash(digest) & mask_;
+  std::uint64_t index = DigestSlotHash(digest) & mask_;
   while (true) {
     Digest128& slot = slots_[index];
     if (slot == kEmptySlot) {
@@ -58,7 +49,7 @@ void DigestSet::Insert(const Digest128& digest) {
 bool DigestSet::Contains(const Digest128& digest) const {
   if (digest == kEmptySlot) return holds_empty_marker_;
   if (slots_.empty()) return false;
-  std::uint64_t index = SlotHash(digest) & mask_;
+  std::uint64_t index = DigestSlotHash(digest) & mask_;
   while (true) {
     const Digest128& slot = slots_[index];
     if (slot == digest) return true;

@@ -4,20 +4,30 @@
 // can use binary search" — correct, but O(log n) with a cache miss per
 // probe level. The source-side membership test (DestHas, §3.2) only ever
 // asks "does this content exist at the destination?", never "at which
-// offset?", so a flat hash set answers it in O(1): one mix of the digest's
-// low 64 bits picks the slot, linear probing resolves collisions, and the
-// full 128-bit digest stored in the slot confirms the match (low-64-bit
-// collisions cannot cause false positives). Slots are a single contiguous
-// Digest128 array at <= 50% load, so a probe touches one or two cache
-// lines instead of log2(n) of them.
+// offset?", so a flat hash set answers it in O(1): DigestSlotHash picks
+// the slot, linear probing resolves collisions, and the full 128-bit
+// digest stored in the slot confirms the match (slot-hash collisions
+// cannot cause false positives). Slots are a single contiguous Digest128
+// array at <= 50% load, so a probe touches one or two cache lines
+// instead of log2(n) of them.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "digest/digest.hpp"
 
 namespace vecycle {
+
+/// Home-slot hash of DigestSet and DigestMap: both words folded as
+/// std::hash<Digest128> folds them, then mixed by SplitMix64. The fold
+/// matters for FNV digests, whose word 1 is always zero (FnvDigest):
+/// mixing word 1 alone would send every one of them to the same slot.
+inline std::uint64_t DigestSlotHash(const Digest128& digest) {
+  return SplitMix64(std::hash<Digest128>{}(digest)).Next();
+}
 
 class DigestSet {
  public:
@@ -28,7 +38,7 @@ class DigestSet {
   /// distinct digests.
   explicit DigestSet(std::vector<Digest128> digests);
 
-  /// O(1) membership: hash of the low 64 bits, linear probe, full-digest
+  /// O(1) membership: DigestSlotHash, linear probe, full-digest
   /// confirmation.
   [[nodiscard]] bool Contains(const Digest128& digest) const;
 

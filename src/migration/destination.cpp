@@ -14,8 +14,8 @@ DestinationActor::DestinationActor(Params params)
   VEC_CHECK(params_.page_count > 0);
   VEC_CHECK_MSG(params_.forward_channels >= 1,
                 "destination needs at least one forward channel");
-  memory_ = std::make_unique<vm::GuestMemory>(
-      Pages(params_.page_count), params_.mode, params_.config.algorithm);
+  memory_ =
+      std::make_unique<vm::GuestMemory>(Pages(params_.page_count), params_.mode);
 }
 
 SimTime DestinationActor::Prepare(SimTime start, bool send_bulk_hashes) {
@@ -48,7 +48,7 @@ SimTime DestinationActor::Prepare(SimTime start, bool send_bulk_hashes) {
           params_.cpu->Hash(start, image, params_.config.algorithm);
       hashed_bytes_ += image;
       ready = std::max(ready, hashed);
-      index_ = storage::ChecksumIndex::Build(*checkpoint_,
+      index_ = storage::ChecksumIndex::Build(*checkpoint_, params_.mode,
                                              params_.config.algorithm);
     }
     checkpoint_->RestoreInto(*memory_);
@@ -219,7 +219,8 @@ void DestinationActor::ApplyRecord(const net::PageRecord& record,
   hashed_bytes_ += Bytes{kPageSize};
   work_done_ = std::max(work_done_, hashed);
 
-  const Digest128 local = memory_->PageDigest(record.page);
+  const Digest128 local =
+      memory_->PageDigest(record.page, params_.config.algorithm);
   if (local == record.digest) {
     ++pages_matched_in_place_;
     return;
@@ -252,7 +253,8 @@ void DestinationActor::ApplyRecord(const net::PageRecord& record,
   const std::uint64_t seed = checkpoint_->SeedAt(*offset);
   // Cross-check the protocol invariant: the checkpoint block the index
   // points at really carries the content the source named.
-  VEC_CHECK_MSG(checkpoint_->DigestAt(*offset, params_.config.algorithm) ==
+  VEC_CHECK_MSG(checkpoint_->DigestAt(*offset, params_.mode,
+                                      params_.config.algorithm) ==
                     record.digest,
                 "checkpoint block does not carry the content its index "
                 "entry promises");

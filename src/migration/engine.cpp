@@ -559,16 +559,6 @@ struct MigrationSession::Impl {
     // Auto-converge ends with the migration: the guest runs unthrottled
     // at the destination.
     if (run.workload != nullptr) run.workload->SetThrottle(1.0);
-    // Warm the arrived memory's digest cache here, on the session's own
-    // shard: Finalize() re-reads every page digest for the incoming-page
-    // tracking and runs on the coordinator at the barrier in fleet
-    // drains — without the warm-up that pass serially re-hashes the
-    // whole fleet's memory. Pure host-side computation: no simulated
-    // time, no audit events, so serial-mode output is unchanged.
-    auto& arrived = destination->Memory();
-    for (vm::PageId page = 0; page < arrived.PageCount(); ++page) {
-      (void)arrived.PageDigest(page);
-    }
     if (run.write_back_checkpoint && run.source.store != nullptr) {
       AdvanceTo(SessionPhase::kCheckpointWriteBack);
       run.source.store->Save(
@@ -702,7 +692,8 @@ struct MigrationSession::Impl {
     auto& dest_memory = *outcome.dest_memory;
     outcome.incoming_digests.reserve(dest_memory.PageCount());
     for (vm::PageId page = 0; page < dest_memory.PageCount(); ++page) {
-      outcome.incoming_digests.push_back(dest_memory.PageDigest(page));
+      outcome.incoming_digests.push_back(
+          dest_memory.PageDigest(page, run.config.algorithm));
     }
     std::sort(outcome.incoming_digests.begin(),
               outcome.incoming_digests.end());

@@ -95,8 +95,8 @@ class PostCopyEngine {
     }
 
     auto& source = *run_.source_memory;
-    dest_memory_ = std::make_unique<vm::GuestMemory>(
-        source.RamSize(), source.Mode(), run_.config.algorithm);
+    dest_memory_ =
+        std::make_unique<vm::GuestMemory>(source.RamSize(), source.Mode());
     residency_.assign(source.PageCount(), Residency::kUnknown);
     fetch_arrival_.assign(source.PageCount(), kSimEpoch);
     remaining_ = source.PageCount();

@@ -169,7 +169,9 @@ bool SourceActor::ClassifyFirstRoundPage(vm::PageId page,
   // and cannot proceed past `query_window` unanswered questions — the
   // protocol variant the paper expected to be slow.
   if (UsesContentHashes(strategy)) {
-    record.digest = memory.PageDigest(page);
+    // The migration's algorithm, in the memory's mode — exactly what the
+    // destination's checkpoint index and in-place check compute.
+    record.digest = memory.PageDigest(page, params_.config.algorithm);
     hash_bytes += kPageSize;
     bool dest_has;
     if (params_.query_oracle != nullptr) {

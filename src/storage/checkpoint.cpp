@@ -4,8 +4,6 @@
 #include <fstream>
 
 #include "common/check.hpp"
-#include "digest/digest_memo.hpp"
-#include "digest/hasher.hpp"
 #include "digest/md5.hpp"
 
 namespace vecycle::storage {
@@ -32,21 +30,13 @@ Digest128 Checkpoint::ImageDigest() const {
   return image_digest_cache_;
 }
 
-void Checkpoint::InvalidateDigestCaches() {
-  page_digest_cache_.clear();
-  page_digest_cache_.shrink_to_fit();
-  page_digest_tag_.clear();
-  page_digest_tag_.shrink_to_fit();
-  image_digest_cached_ = false;
-}
-
 void Checkpoint::CorruptPageForTesting(vm::PageId page,
                                        std::uint64_t bad_seed) {
   VEC_CHECK_MSG(page < seeds_.size(), "corruption target out of range");
   seeds_[page] = bad_seed;  // deliberately leaves captured_digest_ stale
   // The corrupted content must be re-hashed like a real disk error would
-  // be: only captured_digest_ stays stale, not the computed digests.
-  InvalidateDigestCaches();
+  // be: only captured_digest_ stays stale, not the computed digest.
+  image_digest_cached_ = false;
 }
 
 std::uint64_t Checkpoint::SeedAt(vm::PageId page) const {
@@ -59,29 +49,9 @@ std::uint64_t Checkpoint::GenerationAt(vm::PageId page) const {
   return generations_[page];
 }
 
-Digest128 Checkpoint::DigestAt(vm::PageId page,
+Digest128 Checkpoint::DigestAt(vm::PageId page, vm::ContentMode mode,
                                DigestAlgorithm algorithm) const {
-  const std::uint64_t seed = SeedAt(page);
-  const std::uint64_t tag = static_cast<std::uint64_t>(algorithm) + 1;
-  if (page_digest_tag_.empty()) {
-    page_digest_cache_.resize(seeds_.size());
-    page_digest_tag_.assign(seeds_.size(), 0);
-  }
-  if (page_digest_tag_[page] == tag) return page_digest_cache_[page];
-  // Checkpoint blocks hash the stored seed bytes, the same expansion a
-  // seed-only GuestMemory uses — both share one memo entry per seed.
-  Digest128 digest;
-  if (const auto hit = SeedDigestMemo::Instance().Find(
-          algorithm, SeedDigestMemo::Flavor::kSeedBytes, seed)) {
-    digest = *hit;
-  } else {
-    digest = ComputeDigest(algorithm, &seed, sizeof(seed));
-    SeedDigestMemo::Instance().Store(
-        algorithm, SeedDigestMemo::Flavor::kSeedBytes, seed, digest);
-  }
-  page_digest_cache_[page] = digest;
-  page_digest_tag_[page] = tag;
-  return digest;
+  return vm::ContentDigest(mode, algorithm, SeedAt(page));
 }
 
 void Checkpoint::RestoreInto(vm::GuestMemory& memory) const {

@@ -41,13 +41,9 @@ class Checkpoint {
     return generations_;
   }
 
-  /// Digest of the page image at `page` under `algorithm`, matching what
-  /// GuestMemory::PageDigest produces for the same content in seed mode.
-  /// Checkpoints are immutable after capture, so results are memoized per
-  /// page (one algorithm at a time — the one the migration runs under);
-  /// the index build warms the cache the destination's per-record
-  /// cross-checks then hit.
-  [[nodiscard]] Digest128 DigestAt(vm::PageId page,
+  /// vm::ContentDigest of the page image at `page`: what a GuestMemory in
+  /// `mode` holding the same content reports from PageDigest(algorithm).
+  [[nodiscard]] Digest128 DigestAt(vm::PageId page, vm::ContentMode mode,
                                    DigestAlgorithm algorithm) const;
 
   /// Size of the on-disk image: page_count * 4 KiB (plus a header the
@@ -82,17 +78,13 @@ class Checkpoint {
   static Checkpoint LoadFile(const std::string& path);
 
  private:
-  void InvalidateDigestCaches();
-
   std::vector<std::uint64_t> seeds_;
   std::vector<std::uint64_t> generations_;
   Digest128 captured_digest_;
 
-  // Memoization over the immutable image (CorruptPageForTesting is the
-  // only mutation and invalidates). `mutable`: caching is invisible to
-  // observable state; the simulation is single-threaded.
-  mutable std::vector<Digest128> page_digest_cache_;
-  mutable std::vector<std::uint64_t> page_digest_tag_;  // algorithm+1, 0=none
+  // ImageDigest memo over the immutable image (CorruptPageForTesting is
+  // the only mutation and invalidates). `mutable`: caching is invisible
+  // to observable state.
   mutable Digest128 image_digest_cache_;
   mutable bool image_digest_cached_ = false;
 };

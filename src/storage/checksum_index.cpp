@@ -7,11 +7,12 @@
 namespace vecycle::storage {
 
 ChecksumIndex ChecksumIndex::Build(const Checkpoint& checkpoint,
+                                   vm::ContentMode mode,
                                    DigestAlgorithm algorithm) {
   std::vector<std::pair<Digest128, vm::PageId>> entries;
   entries.reserve(checkpoint.PageCount());
   for (vm::PageId page = 0; page < checkpoint.PageCount(); ++page) {
-    entries.emplace_back(checkpoint.DigestAt(page, algorithm), page);
+    entries.emplace_back(checkpoint.DigestAt(page, mode, algorithm), page);
   }
   return FromEntries(std::move(entries), algorithm);
 }

@@ -21,9 +21,11 @@ class ChecksumIndex {
  public:
   ChecksumIndex() = default;
 
-  /// Builds the index from every page of `checkpoint` under `algorithm`.
+  /// Builds the index from every page of `checkpoint`, digested as a
+  /// GuestMemory in `mode` digests it under `algorithm` — so digests the
+  /// migration source computes over its own memory find their pages.
   static ChecksumIndex Build(const Checkpoint& checkpoint,
-                             DigestAlgorithm algorithm);
+                             vm::ContentMode mode, DigestAlgorithm algorithm);
 
   /// Builds from explicit (digest, page) pairs — used by the source to
   /// remember the page set it saw during a previous incoming migration.

@@ -10,8 +10,8 @@ Digest128 ChunkDigest(std::span<const std::uint64_t> seeds) {
   const auto* bytes = reinterpret_cast<const std::uint8_t*>(seeds.data());
   const std::size_t size = seeds.size() * sizeof(std::uint64_t);
   const std::uint64_t lo = Fnv1a64(bytes, size);
-  // Second pass seeded by the first fills the high word — FnvDigest alone
-  // would leave it zero, collapsing the DigestMap slot hash.
+  // Second pass seeded by the first fills the high word, so a chunk digest
+  // carries 128 bits where one FNV pass carries 64.
   const std::uint64_t hi = Fnv1a64(bytes, size, lo ^ 0x9e3779b97f4a7c15ull);
   return Digest128::FromWords(hi, lo);
 }

@@ -87,8 +87,7 @@ struct Manifest {
 };
 
 /// Content digest of a chunk (a run of page seeds). Two FNV-1a passes —
-/// the second seeded by the first — fill both digest words, so the
-/// DigestSet/DigestMap slot hash (which mixes the low word) and ordered
+/// the second seeded by the first — fill both digest words, so ordered
 /// sweeps (which compare both) see well-distributed values. FNV suffices
 /// here for the same reason it does for sender-side dedup: chunks live on
 /// one host and the store re-verifies reconstructed images by strong

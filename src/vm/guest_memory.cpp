@@ -1,9 +1,9 @@
 #include "vm/guest_memory.hpp"
 
+#include <array>
 #include <cstring>
 
 #include "common/check.hpp"
-#include "digest/digest_memo.hpp"
 #include "digest/hasher.hpp"
 
 namespace vecycle::vm {
@@ -22,9 +22,25 @@ void MaterializePage(std::uint64_t seed, std::span<std::byte> out) {
   }
 }
 
-GuestMemory::GuestMemory(Bytes ram_size, ContentMode mode,
-                         DigestAlgorithm algorithm)
-    : mode_(mode), algorithm_(algorithm) {
+Digest128 ContentDigest(ContentMode mode, DigestAlgorithm algorithm,
+                        std::uint64_t seed) {
+  if (mode == ContentMode::kMaterialized) {
+    std::array<std::byte, kPageSize> page{};
+    MaterializePage(seed, page);
+    return ComputeDigest(algorithm, page.data(), page.size());
+  }
+  // The salt keeps one content's digests apart across algorithms, as real
+  // digests are; XOR with a constant keeps the seed -> word 0 bijection.
+  const auto salt = static_cast<std::uint64_t>(algorithm);
+  VEC_CHECK_MSG(salt <= static_cast<std::uint64_t>(DigestAlgorithm::kFnv1a),
+                "ContentDigest: unenumerated digest algorithm");
+  SplitMix64 stream(seed ^ (salt << 56));
+  const std::uint64_t word0 = stream.Next();
+  return Digest128::FromWords(
+      word0, algorithm == DigestAlgorithm::kFnv1a ? 0 : stream.Next());
+}
+
+GuestMemory::GuestMemory(Bytes ram_size, ContentMode mode) : mode_(mode) {
   VEC_CHECK_MSG(ram_size.count % kPageSize == 0,
                 "RAM size must be page-aligned");
   const std::uint64_t pages = ram_size.count / kPageSize;
@@ -70,88 +86,13 @@ std::uint64_t GuestMemory::Generation(PageId page) const {
 void GuestMemory::SetGenerations(std::vector<std::uint64_t> generations) {
   VEC_CHECK_MSG(generations.size() == seeds_.size(),
                 "generation vector does not match memory geometry");
-  // Content is untouched, so digests cached at the *current* counter stay
-  // correct — but their keys reference the outgoing counters. Re-stamp
-  // only those still-valid entries onto the new counters (keeping the
-  // cache warm across a migration handoff, where the destination adopts
-  // the source's counters). Entries cached at an older generation and
-  // already invalidated by a later write must be dropped, not re-stamped:
-  // re-stamping would resurrect a digest of overwritten content.
-  if (!digest_cache_key_.empty()) {
-    for (std::size_t i = 0; i < generations.size(); ++i) {
-      digest_cache_key_[i] = digest_cache_key_[i] == generations_[i] + 1
-                                 ? generations[i] + 1
-                                 : 0;
-    }
-  }
-  if (!hash64_cache_key_.empty()) {
-    for (std::size_t i = 0; i < generations.size(); ++i) {
-      hash64_cache_key_[i] = hash64_cache_key_[i] == generations_[i] + 1
-                                 ? generations[i] + 1
-                                 : 0;
-    }
-  }
   generations_ = std::move(generations);
 }
 
-void GuestMemory::SetDigestCacheEnabled(bool enabled) {
-  cache_enabled_ = enabled;
-  if (!enabled) {
-    digest_cache_.clear();
-    digest_cache_.shrink_to_fit();
-    digest_cache_key_.clear();
-    digest_cache_key_.shrink_to_fit();
-    hash64_cache_.clear();
-    hash64_cache_.shrink_to_fit();
-    hash64_cache_key_.clear();
-    hash64_cache_key_.shrink_to_fit();
-  }
-}
-
-Digest128 GuestMemory::ComputePageDigest(PageId page) const {
-  const std::uint64_t seed = seeds_[page];
-  const auto flavor = mode_ == ContentMode::kMaterialized
-                          ? SeedDigestMemo::Flavor::kMaterialized
-                          : SeedDigestMemo::Flavor::kSeedBytes;
-  if (cache_enabled_) {
-    // Page content is a pure function of the seed in both modes, so the
-    // process-wide memo applies; it is what lets a fresh destination
-    // memory skip re-hashing content some other object already hashed.
-    if (const auto hit =
-            SeedDigestMemo::Instance().Find(algorithm_, flavor, seed)) {
-      return *hit;
-    }
-  }
-  Digest128 digest;
-  if (mode_ == ContentMode::kMaterialized) {
-    digest = ComputeDigest(algorithm_, backing_.data() + page * kPageSize,
-                           kPageSize);
-  } else {
-    digest = ComputeDigest(algorithm_, &seed, sizeof(seed));
-  }
-  if (cache_enabled_) {
-    SeedDigestMemo::Instance().Store(algorithm_, flavor, seed, digest);
-  }
-  return digest;
-}
-
-Digest128 GuestMemory::PageDigest(PageId page) const {
+Digest128 GuestMemory::PageDigest(PageId page,
+                                  DigestAlgorithm algorithm) const {
   CheckPage(page);
-  if (!cache_enabled_) return ComputePageDigest(page);
-  if (digest_cache_key_.empty()) {
-    digest_cache_.resize(seeds_.size());
-    digest_cache_key_.assign(seeds_.size(), 0);
-  }
-  const std::uint64_t key = generations_[page] + 1;
-  if (digest_cache_key_[page] == key) {
-    ++cache_hits_;
-    return digest_cache_[page];
-  }
-  ++cache_misses_;
-  const Digest128 digest = ComputePageDigest(page);
-  digest_cache_[page] = digest;
-  digest_cache_key_[page] = key;
-  return digest;
+  return ContentDigest(mode_, algorithm, seeds_[page]);
 }
 
 std::uint64_t GuestMemory::ContentHash64(PageId page) const {
@@ -159,17 +100,7 @@ std::uint64_t GuestMemory::ContentHash64(PageId page) const {
   // SplitMix64 of the seed: a perfect (bijective) 64-bit mixer, so distinct
   // seeds can never collide, and identical content always matches. The +1
   // keeps the zero page away from SplitMix64(0)'s fixed structure.
-  if (!cache_enabled_) return SplitMix64(seeds_[page] + 1).Next();
-  if (hash64_cache_key_.empty()) {
-    hash64_cache_.resize(seeds_.size());
-    hash64_cache_key_.assign(seeds_.size(), 0);
-  }
-  const std::uint64_t key = generations_[page] + 1;
-  if (hash64_cache_key_[page] == key) return hash64_cache_[page];
-  const std::uint64_t hash = SplitMix64(seeds_[page] + 1).Next();
-  hash64_cache_[page] = hash;
-  hash64_cache_key_[page] = key;
-  return hash;
+  return SplitMix64(seeds_[page] + 1).Next();
 }
 
 void GuestMemory::ReadPage(PageId page, std::span<std::byte> out) const {

@@ -9,11 +9,15 @@
 //
 //  * kSeedOnly   — only the seed vector is stored (8 B/page instead of
 //                  4 KiB/page), letting benches model 6 GiB VMs (1.57 M
-//                  pages) in ~12 MiB. Digests are computed over the seed.
+//                  pages) in ~12 MiB. Digests are a closed-form mix of
+//                  the seed.
 //  * kMaterialized — a real 4 KiB byte image per page, deterministically
 //                  expanded from the seed. Digests are computed over the
 //                  bytes, and integration tests use this mode to prove the
 //                  migration protocol reconstructs memory byte-for-byte.
+//
+// ContentDigest is the one function that names page content by digest;
+// guest memory, checkpoints and the checkpoint index all call it.
 //
 // Writes bump a per-page generation counter, which is exactly the dirty
 // tracking state Miyakodori keeps (§4.3).
@@ -43,15 +47,27 @@ enum class ContentMode { kSeedOnly, kMaterialized };
 /// and (for practical purposes) distinct seeds to distinct bytes.
 void MaterializePage(std::uint64_t seed, std::span<std::byte> out);
 
+/// Digest of the page content `seed` denotes, under `algorithm`.
+///
+/// kMaterialized: the real digest of the 4 KiB image MaterializePage
+/// expands the seed to. kSeedOnly: a closed-form injective mix of the
+/// seed salted by the algorithm — word 0 is a SplitMix64 output, a
+/// bijection of the seed, so distinct seeds never collide, and FNV keeps
+/// its 64-bit shape (word 1 zero, as FnvDigest). Host-side hashing buys
+/// nothing more in seed mode: the ChecksumEngine charges the simulated
+/// hashing time either way, and the protocol only compares digests for
+/// equality.
+[[nodiscard]] Digest128 ContentDigest(ContentMode mode,
+                                      DigestAlgorithm algorithm,
+                                      std::uint64_t seed);
+
 class GuestMemory {
  public:
-  GuestMemory(Bytes ram_size, ContentMode mode,
-              DigestAlgorithm algorithm = DigestAlgorithm::kMd5);
+  GuestMemory(Bytes ram_size, ContentMode mode);
 
   [[nodiscard]] std::uint64_t PageCount() const { return seeds_.size(); }
   [[nodiscard]] Bytes RamSize() const { return Pages(PageCount()); }
   [[nodiscard]] ContentMode Mode() const { return mode_; }
-  [[nodiscard]] DigestAlgorithm Algorithm() const { return algorithm_; }
 
   [[nodiscard]] std::uint64_t Seed(PageId page) const;
 
@@ -87,35 +103,15 @@ class GuestMemory {
   /// Total writes ever applied; cheap global change detector for tests.
   [[nodiscard]] std::uint64_t TotalWrites() const { return total_writes_; }
 
-  /// Strong digest of the page's content with the configured algorithm.
-  /// In kMaterialized mode this hashes the real 4 KiB image; in kSeedOnly
-  /// mode it hashes the 8-byte seed — equal-iff-equal-content either way.
-  ///
-  /// Memoized per page, keyed on the generation counter: re-digesting an
-  /// unmodified page (every strategy sweep, every migration round, the
-  /// post-migration incoming-digest scan) is a cache hit instead of a
-  /// fresh MD5. Writes invalidate by bumping the generation;
-  /// SetGenerations re-stamps valid entries (content is unchanged there).
-  [[nodiscard]] Digest128 PageDigest(PageId page) const;
+  /// ContentDigest of the page's current content in this memory's mode.
+  /// Migrations pass their MigrationConfig::algorithm; MD5 is the
+  /// paper's default (§3.4).
+  [[nodiscard]] Digest128 PageDigest(
+      PageId page, DigestAlgorithm algorithm = DigestAlgorithm::kMd5) const;
 
-  /// Fast 64-bit content hash for fingerprinting and analysis. Collision
-  /// probability over millions of pages is negligible for statistics.
-  /// Memoized with the same generation-keyed scheme as PageDigest.
+  /// Fast 64-bit content hash for fingerprinting and analysis: SplitMix64
+  /// of the seed, so distinct contents never collide.
   [[nodiscard]] std::uint64_t ContentHash64(PageId page) const;
-
-  /// Toggles digest/hash memoization (on by default). Disabling clears
-  /// the caches; results must be byte-identical either way — the switch
-  /// exists so tests and benches can prove exactly that, and so
-  /// memory-constrained million-page sweeps can opt out of the
-  /// 24 B/page cache footprint.
-  void SetDigestCacheEnabled(bool enabled);
-  [[nodiscard]] bool DigestCacheEnabled() const { return cache_enabled_; }
-
-  /// Memoization counters (benchmarks and cache tests).
-  [[nodiscard]] std::uint64_t DigestCacheHits() const { return cache_hits_; }
-  [[nodiscard]] std::uint64_t DigestCacheMisses() const {
-    return cache_misses_;
-  }
 
   /// Copies the page's (possibly expanded) bytes into `out` (4 KiB).
   void ReadPage(PageId page, std::span<std::byte> out) const;
@@ -135,28 +131,12 @@ class GuestMemory {
 
  private:
   void CheckPage(PageId page) const;
-  [[nodiscard]] Digest128 ComputePageDigest(PageId page) const;
 
   ContentMode mode_;
-  DigestAlgorithm algorithm_;
   std::vector<std::uint64_t> seeds_;
   std::vector<std::uint64_t> generations_;
   std::vector<std::byte> backing_;  // PageCount()*kPageSize in kMaterialized
   std::uint64_t total_writes_ = 0;
-
-  // Digest memoization. A cache entry is valid iff its key equals the
-  // page's current generation + 1 (0 = never cached); every write bumps
-  // the generation, so stale entries can never be observed. Vectors are
-  // allocated lazily on the first digest/hash call and are `mutable`
-  // because memoization does not change observable content (the simulator
-  // is single-threaded by design).
-  mutable std::vector<Digest128> digest_cache_;
-  mutable std::vector<std::uint64_t> digest_cache_key_;
-  mutable std::vector<std::uint64_t> hash64_cache_;
-  mutable std::vector<std::uint64_t> hash64_cache_key_;
-  mutable std::uint64_t cache_hits_ = 0;
-  mutable std::uint64_t cache_misses_ = 0;
-  bool cache_enabled_ = true;
 };
 
 /// Initial memory composition, following the structure the Memory Buddies

@@ -321,53 +321,6 @@ TEST(ReplayCheck, DetectsInjectedDivergence) {
   EXPECT_THROW(ReplayCheck::Verify(diverging), CheckFailure);
 }
 
-/// MigrationScenario with the source digest cache toggled and external
-/// trace/metrics sinks attached.
-std::uint64_t CachedMigrationScenario(SimAuditor& auditor, bool cache,
-                                      obs::TraceRecorder& tracer,
-                                      obs::MetricsRegistry& metrics) {
-  TestBed bed;
-  auto memory = RandomMemory(MiB(4), 17);
-  memory.SetDigestCacheEnabled(cache);
-  const auto departure_generations = memory.Generations();
-  bed.dst_store.Save("vm", storage::Checkpoint::CaptureFrom(memory),
-                     kSimEpoch);
-  vm::UniformRandomWorkload churn(150.0, 42);
-  churn.Advance(memory, Seconds(8.0));
-
-  migration::MigrationConfig config;
-  config.strategy = migration::Strategy::kHashes;
-  auto run = bed.MakeRun(memory, config);
-  run.departure_generations = departure_generations;
-  run.auditor = &auditor;
-  run.tracer = &tracer;
-  run.metrics = &metrics;
-  const auto outcome = migration::RunMigration(std::move(run));
-  return outcome.stats.tx_bytes.count ^ (outcome.stats.rounds * 0x9e37ull);
-}
-
-TEST(ReplayCheck, DigestCachingInvisibleToAuditAndObservability) {
-  // Digest memoization must be a pure wall-clock optimization: the audit
-  // fingerprint (every event, message, and scalar) and the exported
-  // trace/metrics must be byte-identical with the caches on and off.
-  SimAuditor cached_auditor;
-  SimAuditor uncached_auditor;
-  obs::TraceRecorder cached_trace;
-  obs::TraceRecorder uncached_trace;
-  obs::MetricsRegistry cached_metrics;
-  obs::MetricsRegistry uncached_metrics;
-
-  const auto cached_fp = CachedMigrationScenario(
-      cached_auditor, /*cache=*/true, cached_trace, cached_metrics);
-  const auto uncached_fp = CachedMigrationScenario(
-      uncached_auditor, /*cache=*/false, uncached_trace, uncached_metrics);
-
-  EXPECT_EQ(cached_fp, uncached_fp);
-  EXPECT_EQ(cached_auditor.Fingerprint(), uncached_auditor.Fingerprint());
-  EXPECT_EQ(cached_trace.ChromeTraceJson(), uncached_trace.ChromeTraceJson());
-  EXPECT_EQ(cached_metrics.ToJson("test"), uncached_metrics.ToJson("test"));
-}
-
 TEST(ReplayCheck, DetectsDivergenceInStatsAlone) {
   // Even with an empty event stream, a diverging scenario-returned stat
   // fingerprint must fail the check.

@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
-"""Fixture tests for tools/bench_compare.py one-sided-row handling.
+"""Fixture tests for tools/bench_compare.py.
 
 Runs the comparer against small synthetic reports and asserts the exit
 code for every combination the CI gate relies on: matched reports pass,
-regressions fail, rows present on only one side fail loudly, and
---allow-new exempts exactly the declared names (and itself fails when a
-declared name never shows up).
+regressions fail, rows present on only one side fail loudly, --allow-new
+exempts exactly the declared names (and itself fails when a declared
+name never shows up), and tx_bytes must match the baseline exactly.
 """
 
 import json
@@ -19,18 +19,15 @@ COMPARE = REPO / "tools" / "bench_compare.py"
 
 
 def report(path, rows):
-    payload = {
-        "schema": "vecycle.bench_perf.v1",
-        "benchmarks": [
-            {
-                "name": name,
-                "iters": 100,
-                "ns_per_op": ns,
-                "ops_per_sec": 1e9 / ns,
-            }
-            for name, ns in rows
-        ],
-    }
+    """Rows are (name, ns_per_op) or (name, ns_per_op, tx_bytes)."""
+    benchmarks = []
+    for name, ns, *tx in rows:
+        row = {"name": name, "iters": 100, "ns_per_op": ns,
+               "ops_per_sec": 1e9 / ns}
+        if tx:
+            row["tx_bytes"] = tx[0]
+        benchmarks.append(row)
+    payload = {"schema": "vecycle.bench_perf.v1", "benchmarks": benchmarks}
     path.write_text(json.dumps(payload))
     return path
 
@@ -106,6 +103,46 @@ def main():
             run(short, "--baseline", base, "--allow-new", "beta"),
             1,
             "missing from current",
+        )
+
+        # Wire bytes: exact equality whenever the baseline row has them.
+        wire = report(tmp / "wire.json", [("alpha", 100.0, 4096),
+                                          ("beta", 200.0)])
+        check(
+            "equal tx_bytes pass",
+            run(report(tmp / "wire_same.json",
+                       [("alpha", 120.0, 4096), ("beta", 200.0)]),
+                "--baseline", wire),
+            0,
+        )
+        check(
+            "tx_bytes one byte more fails",
+            run(report(tmp / "wire_up.json",
+                       [("alpha", 100.0, 4097), ("beta", 200.0)]),
+                "--baseline", wire),
+            1,
+            "tx_bytes 4096 -> 4097",
+        )
+        check(
+            "tx_bytes one byte less fails",
+            run(report(tmp / "wire_down.json",
+                       [("alpha", 100.0, 4095), ("beta", 200.0)]),
+                "--baseline", wire),
+            1,
+            "tx_bytes 4096 -> 4095",
+        )
+        check(
+            "tx_bytes dropped from current fails",
+            run(report(tmp / "wire_gone.json",
+                       [("alpha", 100.0), ("beta", 200.0)]),
+                "--baseline", wire),
+            1,
+            "tx_bytes 4096 -> missing",
+        )
+        check(
+            "rows without tx_bytes on either side pass",
+            run(same, "--baseline", base),
+            0,
         )
 
     if failures:

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -402,9 +403,9 @@ TEST(DigestSet, AgreesWithBinarySearchOnRandomCorpus) {
 }
 
 TEST(DigestSet, LowWordCollisionsDoNotConfuseMembership) {
-  // Every digest here shares the low 64 bits the probe hash is derived
-  // from; only the full-digest comparison in the slot can tell them
-  // apart. Members must be found, the absent sibling must not.
+  // Every digest here shares its low 64 bits; membership rests on the
+  // full-digest comparison in the slot, not on either word alone.
+  // Members must be found, the absent sibling must not.
   constexpr std::uint64_t kSharedLow = 0x1234567812345678ull;
   std::vector<Digest128> corpus;
   for (std::uint64_t hi = 0; hi < 257; ++hi) {
@@ -416,6 +417,21 @@ TEST(DigestSet, LowWordCollisionsDoNotConfuseMembership) {
   }
   EXPECT_FALSE(set.Contains(Digest128::FromWords(999, kSharedLow)));
   EXPECT_FALSE(set.Contains(Digest128::FromWords(0, kSharedLow + 1)));
+}
+
+TEST(DigestSet, FnvDigestsSpreadAcrossHomeSlots) {
+  // FnvDigest fills word 0 and leaves word 1 zero. A slot hash of word 1
+  // alone sends every FNV digest to one home slot, and insert and probe
+  // go quadratic; folding both words spreads them like any other digest.
+  constexpr std::uint64_t kSlots = 1024;
+  std::set<std::uint64_t> homes;
+  for (std::uint64_t i = 0; i < kSlots; ++i) {
+    const auto digest = FnvDigest(&i, sizeof(i));
+    ASSERT_EQ(digest.words[1], 0u);
+    homes.insert(DigestSlotHash(digest) & (kSlots - 1));
+  }
+  // Uniform hashing fills ~1 - 1/e of the slots (~647).
+  EXPECT_GT(homes.size(), kSlots / 2);
 }
 
 TEST(DigestSet, DeduplicatesAndSortsBack) {

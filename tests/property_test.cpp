@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <set>
 #include <tuple>
 
 #include "common/rng.hpp"
@@ -101,6 +102,70 @@ TEST(DigestProperty, NoCollisionsAcrossManyRandomPages) {
       EXPECT_TRUE(inserted)
           << ToString(algorithm) << " collision between inputs "
           << it->second << " and " << i;
+    }
+  }
+}
+
+constexpr DigestAlgorithm kAllAlgorithms[] = {
+    DigestAlgorithm::kMd5, DigestAlgorithm::kSha1, DigestAlgorithm::kSha256,
+    DigestAlgorithm::kFnv1a};
+
+/// Page contents as guests hold them: a MemoryProfile image (zero pages,
+/// duplicate-pool contents, unique contents, so seeds repeat), the zero
+/// seed, and `random_count` uniformly random seeds.
+std::vector<std::uint64_t> PageSeedCorpus(Bytes profiled_ram,
+                                          std::uint64_t random_count) {
+  vm::GuestMemory profiled(profiled_ram, vm::ContentMode::kSeedOnly);
+  Xoshiro256 rng(0xd16e57);
+  vm::MemoryProfile{}.Apply(profiled, rng);
+  std::vector<std::uint64_t> seeds = profiled.Seeds();
+  seeds.push_back(vm::kZeroPageSeed);
+  for (std::uint64_t i = 0; i < random_count; ++i) {
+    seeds.push_back(rng.Next());
+  }
+  return seeds;
+}
+
+TEST(DigestProperty, PageDigestsEqualExactlyWhenSeedsAre) {
+  // Materialized digests hash real 4 KiB images, so that corpus is a few
+  // thousand pages; seed-mode digests are a closed-form mix and get 64k.
+  for (const auto mode :
+       {vm::ContentMode::kSeedOnly, vm::ContentMode::kMaterialized}) {
+    const bool seed_mode = mode == vm::ContentMode::kSeedOnly;
+    const auto seeds = seed_mode ? PageSeedCorpus(MiB(16), 65536)
+                                 : PageSeedCorpus(MiB(4), 2048);
+    const std::set<std::uint64_t> distinct(seeds.begin(), seeds.end());
+    for (const auto algorithm : kAllAlgorithms) {
+      SCOPED_TRACE(std::string(ToString(algorithm)) +
+                   (seed_mode ? " seed" : " materialized"));
+      std::map<Digest128, std::uint64_t> seed_of;
+      for (const auto seed : seeds) {
+        const auto [it, inserted] =
+            seed_of.emplace(vm::ContentDigest(mode, algorithm, seed), seed);
+        if (!inserted) {
+          ASSERT_EQ(it->second, seed) << "digest collision";
+        }
+      }
+      // With no collisions, one digest per distinct seed means equal seeds
+      // always digested equal.
+      EXPECT_EQ(seed_of.size(), distinct.size());
+    }
+  }
+}
+
+TEST(DigestProperty, CheckpointDigestsMatchGuestMemory) {
+  for (const auto mode :
+       {vm::ContentMode::kSeedOnly, vm::ContentMode::kMaterialized}) {
+    vm::GuestMemory memory(MiB(1), mode);
+    Xoshiro256 rng(0xc4ec);
+    vm::MemoryProfile{}.Apply(memory, rng);
+    const auto checkpoint = storage::Checkpoint::CaptureFrom(memory);
+    for (const auto algorithm : kAllAlgorithms) {
+      for (vm::PageId page = 0; page < memory.PageCount(); ++page) {
+        ASSERT_EQ(checkpoint.DigestAt(page, mode, algorithm),
+                  memory.PageDigest(page, algorithm))
+            << ToString(algorithm) << " page " << page;
+      }
     }
   }
 }
@@ -614,14 +679,18 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // =====================================================================
-// Caching invariance: digest memoization is a wall-clock optimization
-// only. Simulated CPU time is charged by the ChecksumEngine regardless
-// of whether the real MD5 ran, so every MigrationStats field must be
-// identical with the digest caches enabled and disabled.
+// Both ends digest alike. On a warm return leg without source knowledge
+// the source names pages by digest and the destination looks them up in
+// an index it built over its checkpoint; the two must agree for every
+// page representation and algorithm. So seed and materialized mode give
+// identical stats, and SHA-1 moves exactly the bytes and pages MD5 does
+// (the guest is quiet during the leg, so no count depends on the
+// algorithm's simulated hashing rate).
 // =====================================================================
 
-migration::MigrationStats RunCachingScenario(migration::Strategy strategy,
-                                             bool cache_enabled) {
+migration::MigrationStats RunWarmReturnLeg(migration::Strategy strategy,
+                                           vm::ContentMode mode,
+                                           DigestAlgorithm algorithm) {
   sim::Simulator simulator;
   sim::Link link(sim::LinkConfig::Lan());
   sim::ChecksumEngine src_cpu{sim::ChecksumEngineConfig{}};
@@ -629,27 +698,26 @@ migration::MigrationStats RunCachingScenario(migration::Strategy strategy,
   sim::Disk dst_disk{sim::DiskConfig::Hdd()};
   storage::CheckpointStore dst_store{dst_disk};
 
-  vm::GuestMemory memory(MiB(8), vm::ContentMode::kSeedOnly);
-  memory.SetDigestCacheEnabled(cache_enabled);
+  vm::GuestMemory memory(MiB(8), mode);
   Xoshiro256 rng(0xcac4e);
   vm::MemoryProfile{}.Apply(memory, rng);
 
+  // The stale checkpoint of the previous visit, then churn before the leg.
   const auto departure = memory.Generations();
   dst_store.Save("vm", storage::Checkpoint::CaptureFrom(memory), kSimEpoch);
   vm::UniformRandomWorkload churn(300.0, 0x5ee);
-  churn.Advance(memory, Seconds(20.0));
+  churn.Advance(memory, Seconds(5.0));
 
   migration::MigrationRun run;
   run.simulator = &simulator;
   run.link = &link;
   run.direction = sim::Direction::kAtoB;
   run.source_memory = &memory;
-  run.workload = &churn;
   run.source = {&src_cpu, nullptr};
   run.destination = {&dst_cpu, &dst_store};
   run.vm_id = "vm";
   run.config.strategy = strategy;
-  run.config.stop_copy_threshold_pages = 64;
+  run.config.algorithm = algorithm;
   run.departure_generations = departure;
   // No source knowledge, so hash strategies run the full bulk exchange
   // and every digest-dependent code path executes.
@@ -657,15 +725,35 @@ migration::MigrationStats RunCachingScenario(migration::Strategy strategy,
   return migration::RunMigration(std::move(run)).stats;
 }
 
-TEST(CachingInvariance, StatsIdenticalWithDigestCacheOnAndOff) {
+TEST(DigestAgreement, WarmReturnLegIndependentOfModeAndAlgorithm) {
   for (const auto strategy :
        {migration::Strategy::kFull, migration::Strategy::kDedup,
         migration::Strategy::kDirtyTracking, migration::Strategy::kHashes,
         migration::Strategy::kDirtyPlusDedup,
         migration::Strategy::kHashesPlusDedup}) {
-    const auto with_cache = RunCachingScenario(strategy, true);
-    const auto without_cache = RunCachingScenario(strategy, false);
-    EXPECT_EQ(with_cache, without_cache) << ToString(strategy);
+    SCOPED_TRACE(ToString(strategy));
+    const auto md5 = RunWarmReturnLeg(strategy, vm::ContentMode::kSeedOnly,
+                                      DigestAlgorithm::kMd5);
+    if (migration::UsesContentHashes(strategy)) {
+      EXPECT_GT(md5.pages_sent_checksum, 0u);
+    }
+
+    EXPECT_EQ(RunWarmReturnLeg(strategy, vm::ContentMode::kMaterialized,
+                               DigestAlgorithm::kMd5),
+              md5);
+
+    const auto sha1 = RunWarmReturnLeg(strategy, vm::ContentMode::kSeedOnly,
+                                       DigestAlgorithm::kSha1);
+    EXPECT_EQ(sha1.tx_bytes, md5.tx_bytes);
+    EXPECT_EQ(sha1.bulk_exchange_bytes, md5.bulk_exchange_bytes);
+    EXPECT_EQ(sha1.pages_sent_full, md5.pages_sent_full);
+    EXPECT_EQ(sha1.pages_sent_checksum, md5.pages_sent_checksum);
+    EXPECT_EQ(sha1.pages_dup_ref, md5.pages_dup_ref);
+    EXPECT_EQ(sha1.pages_skipped_clean, md5.pages_skipped_clean);
+    EXPECT_EQ(sha1.pages_resent_dirty, md5.pages_resent_dirty);
+    EXPECT_EQ(sha1.pages_matched_in_place, md5.pages_matched_in_place);
+    EXPECT_EQ(sha1.pages_from_checkpoint, md5.pages_from_checkpoint);
+    EXPECT_EQ(sha1.fallback_pages, md5.fallback_pages);
   }
 }
 

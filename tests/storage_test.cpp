@@ -16,6 +16,8 @@
 namespace vecycle::storage {
 namespace {
 
+constexpr auto kSeedMode = vm::ContentMode::kSeedOnly;
+
 vm::GuestMemory MakeMemory(Bytes ram = MiB(4)) {
   vm::GuestMemory memory(ram, vm::ContentMode::kSeedOnly);
   Xoshiro256 rng(1);
@@ -59,7 +61,7 @@ TEST(Checkpoint, DigestMatchesGuestMemory) {
   auto memory = MakeMemory();
   const auto cp = Checkpoint::CaptureFrom(memory);
   for (vm::PageId page = 0; page < 16; ++page) {
-    EXPECT_EQ(cp.DigestAt(page, DigestAlgorithm::kMd5),
+    EXPECT_EQ(cp.DigestAt(page, memory.Mode(), DigestAlgorithm::kMd5),
               memory.PageDigest(page));
   }
 }
@@ -115,9 +117,10 @@ TEST(Checkpoint, FileLoadRejectsCorruptImage) {
 TEST(ChecksumIndex, LookupFindsEveryPage) {
   auto memory = MakeMemory();
   const auto cp = Checkpoint::CaptureFrom(memory);
-  const auto index = ChecksumIndex::Build(cp, DigestAlgorithm::kMd5);
+  const auto index = ChecksumIndex::Build(cp, kSeedMode, DigestAlgorithm::kMd5);
   for (vm::PageId page = 0; page < cp.PageCount(); ++page) {
-    const auto found = index.Lookup(cp.DigestAt(page, DigestAlgorithm::kMd5));
+    const auto found =
+        index.Lookup(cp.DigestAt(page, kSeedMode, DigestAlgorithm::kMd5));
     ASSERT_TRUE(found.has_value());
     // Duplicates may resolve to a different offset with the same content.
     EXPECT_EQ(cp.SeedAt(*found), cp.SeedAt(page));
@@ -127,7 +130,7 @@ TEST(ChecksumIndex, LookupFindsEveryPage) {
 TEST(ChecksumIndex, MissingDigestReturnsNullopt) {
   auto memory = MakeMemory();
   const auto cp = Checkpoint::CaptureFrom(memory);
-  const auto index = ChecksumIndex::Build(cp, DigestAlgorithm::kMd5);
+  const auto index = ChecksumIndex::Build(cp, kSeedMode, DigestAlgorithm::kMd5);
   EXPECT_FALSE(index.Lookup(Digest128::FromWords(0xdead, 0xbeef)).has_value());
 }
 
@@ -137,7 +140,7 @@ TEST(ChecksumIndex, DistinctCountCollapsesDuplicates) {
     memory.WritePage(p, p % 10);  // 10 distinct contents
   }
   const auto cp = Checkpoint::CaptureFrom(memory);
-  const auto index = ChecksumIndex::Build(cp, DigestAlgorithm::kMd5);
+  const auto index = ChecksumIndex::Build(cp, kSeedMode, DigestAlgorithm::kMd5);
   EXPECT_EQ(index.EntryCount(), memory.PageCount());
   EXPECT_EQ(index.DistinctDigests(), 10u);
   EXPECT_EQ(index.DistinctDigestList().size(), 10u);
@@ -151,7 +154,7 @@ TEST(ChecksumIndex, BulkExchangeSizeMatchesPaperExample) {
     memory.WritePage(p, p + 1000);
   }
   const auto cp = Checkpoint::CaptureFrom(memory);
-  const auto index = ChecksumIndex::Build(cp, DigestAlgorithm::kMd5);
+  const auto index = ChecksumIndex::Build(cp, kSeedMode, DigestAlgorithm::kMd5);
   EXPECT_EQ(index.BulkExchangeSize(), KiB(16));
 }
 

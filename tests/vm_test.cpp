@@ -116,9 +116,30 @@ TEST(GuestMemory, MaterializedDigestHashesRealBytes) {
   // Independently materialize and hash; must match PageDigest.
   std::array<std::byte, kPageSize> bytes;
   MaterializePage(55, bytes);
-  const auto expected =
-      ComputeDigest(memory.Algorithm(), bytes.data(), bytes.size());
-  EXPECT_EQ(memory.PageDigest(0), expected);
+  for (const auto algorithm :
+       {DigestAlgorithm::kMd5, DigestAlgorithm::kSha1,
+        DigestAlgorithm::kSha256, DigestAlgorithm::kFnv1a}) {
+    EXPECT_EQ(memory.PageDigest(0, algorithm),
+              ComputeDigest(algorithm, bytes.data(), bytes.size()))
+        << ToString(algorithm);
+  }
+}
+
+TEST(GuestMemory, SeedDigestsKeepEachAlgorithmsShape) {
+  GuestMemory memory(MiB(1), ContentMode::kSeedOnly);
+  memory.WritePage(0, 55);
+  // FNV is a 64-bit digest (word 1 zero, as FnvDigest); the others fill
+  // both words. One content digests differently under each algorithm.
+  EXPECT_EQ(memory.PageDigest(0, DigestAlgorithm::kFnv1a).words[1], 0u);
+  std::set<Digest128> digests;
+  for (const auto algorithm :
+       {DigestAlgorithm::kMd5, DigestAlgorithm::kSha1,
+        DigestAlgorithm::kSha256, DigestAlgorithm::kFnv1a}) {
+    digests.insert(memory.PageDigest(0, algorithm));
+  }
+  EXPECT_EQ(digests.size(), 4u);
+  EXPECT_THROW((void)memory.PageDigest(0, static_cast<DigestAlgorithm>(42)),
+               CheckFailure);
 }
 
 TEST(GuestMemory, ReadPageAgreesWithPageBytes) {
@@ -153,41 +174,15 @@ TEST(GuestMemory, SetGenerationsAdoptsVector) {
   EXPECT_THROW(memory.SetGenerations({1, 2, 3}), CheckFailure);
 }
 
-// --- Digest memoization. ---
+// --- Digests follow content. ---
+//
+// PageDigest is a pure function of the page's current content: writes and
+// copies change it, and adopting new generation counters never does.
 
-/// Honest recomputation of what PageDigest should return, bypassing every
-/// cache layer.
-Digest128 HonestDigest(const GuestMemory& memory, PageId page) {
-  if (memory.Mode() == ContentMode::kMaterialized) {
-    std::array<std::byte, kPageSize> bytes;
-    MaterializePage(memory.Seed(page), bytes);
-    return ComputeDigest(memory.Algorithm(), bytes.data(), bytes.size());
-  }
-  const std::uint64_t seed = memory.Seed(page);
-  return ComputeDigest(memory.Algorithm(), &seed, sizeof(seed));
-}
-
-TEST(DigestCache, CachedAndUncachedDigestsAreByteIdentical) {
-  for (const auto mode :
-       {ContentMode::kSeedOnly, ContentMode::kMaterialized}) {
-    GuestMemory cached(MiB(1), mode);
-    GuestMemory uncached(MiB(1), mode);
-    uncached.SetDigestCacheEnabled(false);
-    Xoshiro256 rng(0xcafe);
-    for (PageId p = 0; p < cached.PageCount(); ++p) {
-      const std::uint64_t seed = rng.Next();
-      cached.WritePage(p, seed);
-      uncached.WritePage(p, seed);
-    }
-    for (PageId p = 0; p < cached.PageCount(); ++p) {
-      EXPECT_EQ(cached.PageDigest(p), uncached.PageDigest(p));
-      // Second read serves from the cache; still identical.
-      EXPECT_EQ(cached.PageDigest(p), uncached.PageDigest(p));
-      EXPECT_EQ(cached.ContentHash64(p), uncached.ContentHash64(p));
-    }
-    EXPECT_GT(cached.DigestCacheHits(), 0u);
-    EXPECT_EQ(uncached.DigestCacheHits(), 0u);
-  }
+/// What PageDigest must return: ContentDigest of the current seed.
+Digest128 ExpectedDigest(const GuestMemory& memory, PageId page) {
+  return ContentDigest(memory.Mode(), DigestAlgorithm::kMd5,
+                       memory.Seed(page));
 }
 
 TEST(DigestCache, WritePageInvalidates) {
@@ -199,7 +194,7 @@ TEST(DigestCache, WritePageInvalidates) {
     memory.WritePage(0, 222);
     const auto after = memory.PageDigest(0);
     EXPECT_NE(before, after);
-    EXPECT_EQ(after, HonestDigest(memory, 0));
+    EXPECT_EQ(after, ExpectedDigest(memory, 0));
   }
 }
 
@@ -216,18 +211,17 @@ TEST(DigestCache, CopyPageInvalidatesDestination) {
 TEST(DigestCache, SetGenerationsKeepsDigestsValid) {
   GuestMemory memory(MiB(1), ContentMode::kSeedOnly);
   memory.WritePage(0, 333);
-  const auto digest = memory.PageDigest(0);  // cached at generation 1
+  const auto digest = memory.PageDigest(0);
   std::vector<std::uint64_t> generations(memory.PageCount(), 0);
   memory.SetGenerations(generations);  // content untouched
   EXPECT_EQ(memory.PageDigest(0), digest);
-  EXPECT_EQ(memory.PageDigest(0), HonestDigest(memory, 0));
+  EXPECT_EQ(memory.PageDigest(0), ExpectedDigest(memory, 0));
 }
 
 TEST(DigestCache, GenerationAliasingAfterSetGenerationsIsSafe) {
-  // The dangerous interleaving: cache a digest at generation g, rewind
-  // the counters with SetGenerations, then write until the counter
-  // climbs back to g. A naive generation-keyed cache would serve the
-  // stale digest for the new content.
+  // Rewind the counters, then write until the counter climbs back to
+  // where an earlier digest was taken: the digest follows the content,
+  // not the counter.
   GuestMemory memory(MiB(1), ContentMode::kSeedOnly);
   memory.WritePage(0, 444);  // generation 1
   const auto stale = memory.PageDigest(0);
@@ -235,55 +229,22 @@ TEST(DigestCache, GenerationAliasingAfterSetGenerationsIsSafe) {
   memory.SetGenerations(generations);  // back to generation 0
   memory.WritePage(0, 555);  // generation 1 again, new content
   EXPECT_NE(memory.PageDigest(0), stale);
-  EXPECT_EQ(memory.PageDigest(0), HonestDigest(memory, 0));
+  EXPECT_EQ(memory.PageDigest(0), ExpectedDigest(memory, 0));
 }
 
 TEST(DigestCache, SetGenerationsDropsEntriesStaledByEarlierWrites) {
-  // The other dangerous interleaving: cache a digest, *overwrite* the
-  // page (staling the entry), then SetGenerations. Re-stamping every
-  // nonzero key would resurrect the stale digest as valid under the new
-  // counters. This is exactly the destination-side sequence during a
-  // checkpoint-assisted migration: ApplyRecord computes PageDigest for
-  // the in-place check, then WritePage fetches the real content, then
-  // Finalize adopts the source's generation counters.
+  // The destination-side sequence of a checkpoint-assisted migration:
+  // ApplyRecord digests a page for the in-place check, WritePage fetches
+  // the real content, then Finalize adopts the source's counters. The
+  // digest must be the fetched content's.
   GuestMemory memory(MiB(1), ContentMode::kSeedOnly);
-  memory.WritePage(0, 666);                    // generation 1
-  const auto stale = memory.PageDigest(0);     // cached at generation 1
-  memory.WritePage(0, 777);                    // generation 2, entry stale
+  memory.WritePage(0, 666);
+  const auto stale = memory.PageDigest(0);
+  memory.WritePage(0, 777);
   std::vector<std::uint64_t> generations(memory.PageCount(), 5);
   memory.SetGenerations(generations);
   EXPECT_NE(memory.PageDigest(0), stale);
-  EXPECT_EQ(memory.PageDigest(0), HonestDigest(memory, 0));
-}
-
-TEST(DigestCache, HitAndMissCountersTrack) {
-  GuestMemory memory(MiB(1), ContentMode::kSeedOnly);
-  memory.WritePage(0, 1);
-  EXPECT_EQ(memory.DigestCacheMisses(), 0u);
-  (void)memory.PageDigest(0);
-  EXPECT_EQ(memory.DigestCacheMisses(), 1u);
-  EXPECT_EQ(memory.DigestCacheHits(), 0u);
-  (void)memory.PageDigest(0);
-  EXPECT_EQ(memory.DigestCacheHits(), 1u);
-  memory.WritePage(0, 2);
-  (void)memory.PageDigest(0);
-  EXPECT_EQ(memory.DigestCacheMisses(), 2u);
-}
-
-TEST(DigestCache, ContentFingerprintUnaffectedByCaching) {
-  GuestMemory cached(MiB(1), ContentMode::kSeedOnly);
-  GuestMemory uncached(MiB(1), ContentMode::kSeedOnly);
-  uncached.SetDigestCacheEnabled(false);
-  for (PageId p = 0; p < cached.PageCount(); ++p) {
-    cached.WritePage(p, p * 31 + 7);
-    uncached.WritePage(p, p * 31 + 7);
-  }
-  const auto before = cached.ContentFingerprint();
-  for (PageId p = 0; p < cached.PageCount(); ++p) {
-    (void)cached.PageDigest(p);  // warm the cache
-  }
-  EXPECT_EQ(cached.ContentFingerprint(), before);
-  EXPECT_EQ(cached.ContentFingerprint(), uncached.ContentFingerprint());
+  EXPECT_EQ(memory.PageDigest(0), ExpectedDigest(memory, 0));
 }
 
 // --- Memory profile. ---

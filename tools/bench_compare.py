@@ -9,6 +9,11 @@ dropped row must not silently pass the gate; a benchmark that is being
 added on purpose (it has no baseline yet) is declared with --allow-new
 so the comparison stays strict for everything else.
 
+Wire bytes are gated exactly: when a baseline row carries tx_bytes (the
+simulated benches), the current row must carry the same value. They are
+a deterministic model output, so any difference is a behaviour change
+that lands with a baseline refresh, never noise.
+
 Usage:
   bench_compare.py BENCH_perf.json                       # validate only
   bench_compare.py BENCH_perf.json --baseline BASE.json  # and compare
@@ -62,6 +67,14 @@ def load_report(path):
             if not isinstance(value, (int, float)) or value <= 0:
                 raise ValueError(
                     f"{path}: {name}.bytes_per_sec must be positive"
+                )
+        if "tx_bytes" in entry:
+            value = entry["tx_bytes"]
+            if not isinstance(value, int) or isinstance(value, bool) \
+                    or value < 0:
+                raise ValueError(
+                    f"{path}: {name}.tx_bytes must be a non-negative "
+                    f"integer, got {value!r}"
                 )
         by_name[name] = entry
     return by_name
@@ -122,6 +135,14 @@ def main():
         )
         if delta > args.max_regression:
             failed = True
+        if "tx_bytes" in base:
+            base_tx = base["tx_bytes"]
+            cur_tx = current[name].get("tx_bytes")
+            if cur_tx != base_tx:
+                shown = "missing" if cur_tx is None else cur_tx
+                print(f"FAIL {name}: tx_bytes {base_tx} -> {shown} "
+                      "(wire bytes must match the baseline exactly)")
+                failed = True
     allow_new = set(args.allow_new)
     for name in sorted(set(current) - set(baseline)):
         cur_ns = float(current[name]["ns_per_op"])
