@@ -54,8 +54,8 @@ SweepResult Sweep(migration::Strategy strategy, double outages_per_hour) {
 
   audit::SimAuditor auditor;  // conservation stays armed under faults
   core::SchedulerConfig scheduler_config;
-  scheduler_config.injector = &injector;
-  scheduler_config.auditor = &auditor;
+  scheduler_config.instruments.injector = &injector;
+  scheduler_config.instruments.auditor = &auditor;
   scheduler_config.max_attempts = 5;
   scheduler_config.throw_on_abort = false;  // report aborts as a column
   core::MigrationOrchestrator orchestrator(world.cluster, scheduler_config);

@@ -167,45 +167,11 @@ migration::MigrationStats MigrationOrchestrator::Migrate(
   VEC_CHECK_MSG(pdes_ == nullptr,
                 "synchronous Migrate is a single-simulator API; queue "
                 "with MigrateAsync and Drain in PDES mode");
-  const HostId from = vm.CurrentHost();
-  VEC_CHECK_MSG(!from.empty(), "VM is not deployed");
-  VEC_CHECK_MSG(from != to, "VM is already on " + to);
-
-  Host& source_host = cluster_.GetHost(from);
-  Host& dest_host = cluster_.GetHost(to);
-  const auto path = cluster_.PathBetween(from, to);
-
-  migration::MigrationRun run;
-  run.simulator = &cluster_.Simulator();
-  run.link = path.link;
-  run.direction = path.direction;
-  run.source_memory = &vm.Memory();
-  run.workload = vm.Workload();
-  run.source = {&source_host.Cpu(), &source_host.Store()};
-  run.destination = {&dest_host.Cpu(), &dest_host.Store()};
-  run.vm_id = vm.Id();
-  run.config = config;
-  run.source_knowledge_set = vm.KnownPageSetAt(to);
-  // Dirty-tracking generations and the delta baseline resolve through the
-  // destination's checkpoint store — the system of record for what the VM
-  // left there (empty when the checkpoint was evicted or never written).
-  run.departure_generations = dest_host.Store().DepartureGenerations(vm.Id());
-  run.departure_seeds = dest_host.Store().BaselineSeeds(vm.Id());
-  // Checkpoint write-back happens inside the session (booked at the
-  // destination completion time, not counted in migration time — §4.4)
-  // so a session-private fault injector can still rot the saved image.
-  run.write_back_checkpoint = true;
-
-  auto outcome = migration::RunMigration(std::move(run));
-
-  // The VM remembers the digest set it left behind at the source; the
-  // source's checkpoint store holds the seeds and generations.
-  vm.RememberPagesAt(from, std::move(outcome.incoming_digests));
-
-  // And moves.
-  vm.AdoptMemory(std::move(outcome.dest_memory));
-  vm.SetCurrentHost(to);
-
+  // Session id 0 and no scheduler instruments: the synchronous facade
+  // resolves its instruments from the config and environment alone.
+  auto outcome =
+      migration::RunMigration(BuildMigrationRun(cluster_, vm, to, config));
+  ApplyArrival(vm, to, outcome);
   return outcome.stats;
 }
 

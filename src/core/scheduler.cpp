@@ -15,6 +15,8 @@ void SchedulerConfig::Validate() const {
   // other count is a plain retry budget.
   // workers: every value is legal — zero reads VECYCLE_THREADS, and the
   // sharded run loop clamps to the shard count.
+  // instruments: caller-owned observer pointers, every combination legal
+  // here; the PDES constructor rejects the ones workers would share.
   VEC_CHECK_MSG(retry_backoff >= SimDuration::zero(),
                 "retry_backoff must be non-negative (retry wake-ups "
                 "cannot land in the simulated past)");
@@ -36,6 +38,49 @@ SimTime RetryNotBefore(SimTime when, SimDuration backoff,
   const SimDuration delay{static_cast<SimDuration::rep>(rep << shift)};
   if (delay > SimTime::max() - when) return SimTime::max();
   return when + delay;
+}
+
+migration::MigrationRun BuildMigrationRun(
+    Cluster& cluster, VmInstance& vm, const HostId& to,
+    const migration::MigrationConfig& config) {
+  const HostId& from = vm.CurrentHost();
+  VEC_CHECK_MSG(!from.empty(), "VM is not deployed");
+  VEC_CHECK_MSG(from != to, "VM " + vm.Id() + " is already on " + to);
+  Host& source_host = cluster.GetHost(from);
+  Host& dest_host = cluster.GetHost(to);
+  const auto path = cluster.PathBetween(from, to);
+
+  migration::MigrationRun run;
+  run.simulator = &cluster.Simulator();
+  run.link = path.link;
+  run.direction = path.direction;
+  run.source_memory = &vm.Memory();
+  run.workload = vm.Workload();
+  run.source = {&source_host.Cpu(), &source_host.Store()};
+  run.destination = {&dest_host.Cpu(), &dest_host.Store()};
+  run.vm_id = vm.Id();
+  run.config = config;
+  run.source_knowledge = vm.KnownPageSetAt(to);
+  // Dirty-tracking generations and the delta baseline resolve through the
+  // destination's checkpoint store — the system of record for what the VM
+  // left there (empty when the checkpoint was evicted or never written).
+  // In PDES mode that store belongs to the destination shard, but
+  // admission happens at a barrier — no worker is running — so the read
+  // is race-free.
+  run.departure_generations = dest_host.Store().DepartureGenerations(vm.Id());
+  run.departure_seeds = dest_host.Store().BaselineSeeds(vm.Id());
+  // Checkpoint write-back happens inside the session (booked at the
+  // destination completion time, not counted in migration time — §4.4)
+  // so a session-private fault injector can still rot the saved image.
+  run.write_back_checkpoint = true;
+  return run;
+}
+
+void ApplyArrival(VmInstance& vm, const HostId& to,
+                  migration::MigrationOutcome& outcome) {
+  vm.RememberPagesAt(vm.CurrentHost(), std::move(outcome.incoming_digests));
+  vm.AdoptMemory(std::move(outcome.dest_memory));
+  vm.SetCurrentHost(to);
 }
 
 MigrationScheduler::MigrationScheduler(Cluster& cluster,
@@ -64,13 +109,13 @@ MigrationScheduler::MigrationScheduler(Cluster& cluster,
   // Observers that one object would feed from several workers at once
   // are rejected; per-shard auditors (below) replace the shared one, and
   // shard-level trace/fault wiring happens outside the scheduler.
-  VEC_CHECK_MSG(config_.auditor == nullptr,
-                "PDES mode owns per-shard auditors; config.auditor must "
-                "be null");
-  VEC_CHECK_MSG(config_.tracer == nullptr,
-                "a shared tracer would race across workers; config.tracer "
-                "must be null in PDES mode");
-  VEC_CHECK_MSG(config_.injector == nullptr,
+  VEC_CHECK_MSG(config_.instruments.auditor == nullptr,
+                "PDES mode owns per-shard auditors; "
+                "config.instruments.auditor must be null");
+  VEC_CHECK_MSG(config_.instruments.tracer == nullptr,
+                "a shared tracer would race across workers; "
+                "config.instruments.tracer must be null in PDES mode");
+  VEC_CHECK_MSG(config_.instruments.injector == nullptr,
                 "a shared fault injector would race across workers; "
                 "attach per-shard injectors to intra-shard links instead");
   workers_ = config_.workers == 0 ? sim::ThreadsFromEnv() : config_.workers;
@@ -120,6 +165,11 @@ SessionId MigrationScheduler::Submit(VmInstance& vm, const HostId& to,
   VEC_CHECK_MSG(!vm.CurrentHost().empty(), "VM is not deployed");
   (void)cluster_.GetHost(to);  // existence check, before queueing
   config.Validate();
+  // Flag- and env-armed tracing resolve to the one process-wide recorder,
+  // which the shard workers would then write concurrently.
+  VEC_CHECK_MSG(pdes_ == nullptr || !migration::TraceArmed(config.trace),
+                "a shared tracer would race across workers; config.trace "
+                "and VECYCLE_TRACE must be off in PDES mode");
 
   common::NullLockGuard lock(mu_);
   Request request;
@@ -220,49 +270,17 @@ SimTime MigrationScheduler::CurrentTime() const {
 
 void MigrationScheduler::StartSession(Request request) {
   const HostId from = request.vm->CurrentHost();
-  VEC_CHECK_MSG(!from.empty(), "VM is not deployed");
-  VEC_CHECK_MSG(from != request.to,
-                "VM " + request.vm->Id() + " is already on " + request.to);
-
-  Host& source_host = cluster_.GetHost(from);
-  Host& dest_host = cluster_.GetHost(request.to);
-  const auto path = cluster_.PathBetween(from, request.to);
-
-  // Identical wiring to MigrationOrchestrator::Migrate, plus the session
-  // identity and the in-loop checkpoint write-back (the synchronous path
-  // books the write-back after its private event loop drains; here the
-  // disk stays contended by the sessions still running).
+  // Migrate()'s wiring, plus the session identity, the scheduler's
+  // instruments and the retry count.
+  migration::MigrationRun run =
+      BuildMigrationRun(cluster_, *request.vm, request.to, request.config);
   // Retries run under a fresh session id: channel ids (and so the
   // auditor's per-channel byte accounts) derive from the session id, and
   // the aborted attempt's wire bytes must not leak into the retry's
   // conservation checks. The caller-facing id stays `request.id`.
   const SessionId sid = request.attempts == 0 ? request.id : next_id_++;
-
-  migration::MigrationRun run;
-  run.simulator = &cluster_.Simulator();
-  run.link = path.link;
-  run.direction = path.direction;
   run.session_id = sid;
-  run.write_back_checkpoint = true;
-  run.source_memory = &request.vm->Memory();
-  run.workload = request.vm->Workload();
-  run.source = {&source_host.Cpu(), &source_host.Store()};
-  run.destination = {&dest_host.Cpu(), &dest_host.Store()};
-  run.vm_id = request.vm->Id();
-  run.config = request.config;
-  run.source_knowledge_set = request.vm->KnownPageSetAt(request.to);
-  // Dirty-tracking generations and the delta baseline resolve through the
-  // destination's checkpoint store (empty when the checkpoint was evicted
-  // or never written). In PDES mode the destination store belongs to the
-  // destination shard, but admission happens at a barrier — no worker is
-  // running — so the read is race-free.
-  run.departure_generations =
-      dest_host.Store().DepartureGenerations(request.vm->Id());
-  run.departure_seeds = dest_host.Store().BaselineSeeds(request.vm->Id());
-  run.auditor = config_.auditor;
-  run.tracer = config_.tracer;
-  run.metrics = config_.metrics;
-  run.injector = config_.injector;
+  run.instruments = config_.instruments;
   run.attempt = request.attempts;
 
   Running running;
@@ -282,7 +300,7 @@ void MigrationScheduler::StartSession(Request request) {
     const sim::ShardId src_shard = plan_.ShardOf(from);
     const sim::ShardId dst_shard = plan_.ShardOf(request.to);
     run.simulator = &pdes_->Shard(src_shard);
-    run.auditor = shard_auditors_[src_shard].get();
+    run.instruments.auditor = shard_auditors_[src_shard].get();
     if (dst_shard != src_shard) {
       run.dest_simulator = &pdes_->Shard(dst_shard);
       run.forward_delivery = &pdes_->Route(src_shard, dst_shard);
@@ -372,13 +390,10 @@ void MigrationScheduler::OnSessionFinished(SessionId id, SimTime when) {
     Request request = ReleaseSlot(id);
     VmInstance& vm = *request.vm;
 
-    // Same bookkeeping, same order, as the synchronous orchestrator path.
     // (The checkpoint write-back already happened inside the session; the
     // source store now holds the seeds and generations a return
     // migration will resolve.)
-    vm.RememberPagesAt(from, std::move(outcome.incoming_digests));
-    vm.AdoptMemory(std::move(outcome.dest_memory));
-    vm.SetCurrentHost(request.to);
+    ApplyArrival(vm, request.to, outcome);
 
     completion.id = request.id;
     completion.vm = &vm;

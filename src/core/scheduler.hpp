@@ -32,10 +32,7 @@
 #include "common/units.hpp"
 #include "core/cluster.hpp"
 #include "core/vm_instance.hpp"
-#include "fault/fault.hpp"
 #include "migration/engine.hpp"
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "sim/sharded.hpp"
 
 namespace vecycle::core {
@@ -81,6 +78,24 @@ class MigrationAborted : public CheckFailure {
   explicit MigrationAborted(const std::string& what) : CheckFailure(what) {}
 };
 
+/// The MigrationRun of one leg of `vm`, from its current host to `to`,
+/// on the cluster's simulator — the wiring MigrationOrchestrator::Migrate
+/// and the scheduler share: the path, both hosts' CPUs and stores, what
+/// the VM knows about `to`, what `to`'s store holds of it (dirty-tracking
+/// generations, delta baseline), and the in-session checkpoint
+/// write-back at the source. Session id, instruments, PDES routing and
+/// lifecycle hooks are left to the caller.
+[[nodiscard]] migration::MigrationRun BuildMigrationRun(
+    Cluster& cluster, VmInstance& vm, const HostId& to,
+    const migration::MigrationConfig& config);
+
+/// Arrival bookkeeping of a completed leg to `to`: the VM remembers the
+/// digest set it left at its current host, adopts the memory
+/// reconstructed at the destination (both moved out of `outcome`), and
+/// now runs on `to`.
+void ApplyArrival(VmInstance& vm, const HostId& to,
+                  migration::MigrationOutcome& outcome);
+
 struct SchedulerConfig {
   /// Per-host admission caps (0 = unlimited). The defaults mirror common
   /// hypervisor practice: a host saturates on a couple of simultaneous
@@ -94,19 +109,14 @@ struct SchedulerConfig {
   /// every session a fresh cache (serial equivalence is preserved).
   bool gang_dedup = true;
 
-  /// Shared observers handed to every session (callers own them; null
-  /// means each session resolves its own from config/env as before).
-  /// A shared auditor is how fleet tests check cross-session
-  /// conservation: channel ids derive from session ids, so per-session
-  /// byte accounts stay separate inside one auditor.
-  audit::SimAuditor* auditor = nullptr;
-  obs::TraceRecorder* tracer = nullptr;
-  obs::MetricsRegistry* metrics = nullptr;
-
-  /// Shared fault injector handed to every session (caller owns it; see
-  /// fault/fault.hpp). One injector across the fleet means one fault
-  /// plan: all sessions on a link see the same outage windows.
-  fault::FaultInjector* injector = nullptr;
+  /// Shared instruments handed to every session (callers own them; each
+  /// one left null resolves per session from its config, then the
+  /// environment). A shared auditor is how fleet tests check
+  /// cross-session conservation: channel ids derive from session ids, so
+  /// per-session byte accounts stay separate inside one auditor. A
+  /// shared injector means one fault plan: all sessions on a link see
+  /// the same outage windows.
+  migration::Instruments instruments;
 
   /// Fault recovery: a session aborted by an injected link outage is
   /// requeued and retried up to `max_attempts` total attempts, with
@@ -155,9 +165,11 @@ class MigrationScheduler {
   /// agree with `pdes` on the shard count). The scheduler owns one
   /// auditor per shard (attached to the shard simulators for the
   /// scheduler's lifetime) and runs its control plane at barrier times,
-  /// so `config.auditor/tracer/injector` must be null — those would be
-  /// fed from several workers at once. `config.metrics` stays legal:
-  /// stats are recorded at barriers only.
+  /// so `config.instruments.auditor/tracer/injector` must be null — those
+  /// would be fed from several workers at once — and Submit() rejects
+  /// tracing armed by MigrationConfig::trace or VECYCLE_TRACE, which
+  /// resolves to the one process-wide recorder. `instruments.metrics`
+  /// stays legal: stats are recorded at barriers only.
   MigrationScheduler(Cluster& cluster, sim::ShardedSimulator& pdes,
                      sim::ShardPlan plan, SchedulerConfig config = {});
 
@@ -172,6 +184,8 @@ class MigrationScheduler {
   /// regardless of priority). Higher `priority` admits first across
   /// different VMs; ties admit in submission order. Returns the session
   /// id (session ids start at 1; 0 is the engine's anonymous default).
+  /// In PDES mode, throws CheckFailure when `config.trace` or
+  /// VECYCLE_TRACE arms tracing.
   SessionId Submit(VmInstance& vm, const HostId& to,
                    const migration::MigrationConfig& config,
                    int priority = 0, CompletionCallback on_complete = nullptr);

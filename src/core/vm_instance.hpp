@@ -46,17 +46,10 @@ class VmInstance {
     memory_ = std::move(memory);
   }
 
-  /// Sorted digest set of the checkpoint left behind at `host` (empty
-  /// vector if the host was never visited).
-  [[nodiscard]] std::vector<Digest128> KnownPagesAt(
-      const HostId& host) const {
-    const auto it = known_pages_.find(host);
-    return it == known_pages_.end() ? std::vector<Digest128>{}
-                                    : it->second->ToSortedVector();
-  }
-  /// Prebuilt membership set for `host`; null if never visited. The set is
-  /// built once in RememberPagesAt, so every later migration toward `host`
-  /// probes it without re-sorting or re-hashing anything.
+  /// Digest set of the checkpoint left behind at `host`; null if never
+  /// visited. The set is built once in RememberPagesAt, so every later
+  /// migration toward `host` probes it without re-sorting or re-hashing
+  /// anything.
   [[nodiscard]] std::shared_ptr<const DigestSet> KnownPageSetAt(
       const HostId& host) const {
     const auto it = known_pages_.find(host);

@@ -178,110 +178,55 @@ struct MigrationSession::Impl {
     backward->SetLifetime(alive);
     backward->SetFaultHandler([this](SimTime t) { OnFault(t); });
 
-    // Fault layer, same resolution and attach rules as the audit layer:
-    // an explicit injector (the scheduler's fleet-wide plan) wins;
-    // otherwise config.faults or VECYCLE_FAULTS creates a session-private
-    // one. The link, stores and disks are shared resources — attach only
-    // when free, detach what was attached.
-    if (run.injector != nullptr) {
-      injector = run.injector;
-    } else if (run.config.faults.enabled) {
-      owned_injector = std::make_unique<fault::FaultInjector>(run.config.faults);
-      injector = owned_injector.get();
-    } else if (fault::EnvEnabled()) {
-      owned_injector =
-          std::make_unique<fault::FaultInjector>(fault::FaultConfig::FromEnv());
-      injector = owned_injector.get();
+    // Instruments: one precedence rule, resolved once (instruments.hpp).
+    instruments = ResolveInstruments(run.instruments, run.config.audit,
+                                     run.config.trace, &run.config.faults);
+    if (instruments.auditor != nullptr) {
+      dest_side_auditor = run.dest_auditor != nullptr ? run.dest_auditor
+                                                      : instruments.auditor;
     }
     // A fault abort zeroes the lifetime token from whichever shard notices
     // the cut; with endpoints on two workers that write would race every
     // in-flight guard check. Faults stay supported within a shard.
-    VEC_CHECK_MSG(!cross_shard || injector == nullptr,
+    VEC_CHECK_MSG(!cross_shard || instruments.injector == nullptr,
                   "fault injection is not supported for cross-shard "
                   "sessions");
-    if (injector != nullptr) {
-      if (run.link->Injector() == nullptr) {
-        run.link->SetFaultInjector(injector);
-        attached_link_injector = true;
-      }
-      for (auto* store : {run.source.store, run.destination.store}) {
-        if (store == nullptr) continue;
-        if (store->Injector() == nullptr) {
-          store->SetFaultInjector(injector);
-          if (store == run.source.store) attached_source_store_injector = true;
-          if (store == run.destination.store) attached_dest_store_injector = true;
-        }
-        if (store->Disk().Injector() == nullptr) {
-          store->Disk().SetFaultInjector(injector);
-          if (store == run.source.store) attached_source_disk_injector = true;
-          if (store == run.destination.store) attached_dest_disk_injector = true;
-        }
-      }
-    }
-
-    // Audit layer: an explicit auditor always wins; otherwise the config
-    // flag or VECYCLE_AUDIT creates a session-private one. The simulator
-    // and destination store are shared resources, so the session attaches
-    // to each only when no other auditor already observes it (first
-    // session wins under gang migrations) and detaches what it attached.
-    if (run.auditor != nullptr) {
-      auditor = run.auditor;
-    } else if (run.config.audit || audit::EnvEnabled()) {
-      owned_auditor = std::make_unique<audit::SimAuditor>();
-      auditor = owned_auditor.get();
-    }
-    dest_side_auditor =
-        run.dest_auditor != nullptr ? run.dest_auditor : auditor;
-    if (cross_shard && auditor != nullptr) {
+    if (cross_shard && instruments.auditor != nullptr) {
       // Each worker must report into its own shard's auditor; one sink
       // fed from two threads would race (and scramble the fingerprint).
-      VEC_CHECK_MSG(run.auditor != nullptr && run.dest_auditor != nullptr &&
-                        run.auditor != run.dest_auditor,
+      VEC_CHECK_MSG(run.instruments.auditor != nullptr &&
+                        run.dest_auditor != nullptr &&
+                        run.instruments.auditor != run.dest_auditor,
                     "cross-shard session needs distinct per-shard "
                     "auditors");
     }
-    if (auditor != nullptr) {
-      for (std::uint32_t k = 0; k < nchan; ++k) {
-        forwards[k]->SetAuditor(auditor, forward_channel_id + k);
-      }
-      backward->SetAuditor(dest_side_auditor, backward_channel_id);
-      if (simulator.Auditor() == nullptr) {
-        simulator.SetAuditor(auditor);
-        attached_simulator = true;
-      }
-      if (cross_shard && dest_sim.Auditor() == nullptr) {
-        dest_sim.SetAuditor(dest_side_auditor);
-        attached_dest_simulator = true;
-      }
-      if (run.destination.store != nullptr &&
-          run.destination.store->Auditor() == nullptr) {
-        run.destination.store->SetAuditor(dest_side_auditor);
-        attached_store = true;
-      }
-    }
-
-    // Observability layer, same resolution and attach rules as the audit
-    // layer: an explicit recorder wins; otherwise the config flag or
-    // VECYCLE_TRACE routes to the process-wide recorder. Shared resources
-    // (simulator, CPUs, store) are claimed only when free and released on
-    // teardown; the channels and the source actor are session-owned.
-    if (run.tracer != nullptr) {
-      tracer = run.tracer;
-    } else if (run.config.trace || obs::EnvEnabled()) {
-      tracer = &obs::GlobalTrace();
-    }
-    // A session trace spans both endpoints, which here execute on two
-    // workers; one recorder fed from both would race. Shard-level tracing
-    // (per-shard recorders merged at the end) replaces it.
-    VEC_CHECK_MSG(!cross_shard || tracer == nullptr,
+    // Cross-shard sessions cannot be traced: the session's recorder would
+    // be written by both endpoints' workers.
+    VEC_CHECK_MSG(!cross_shard || instruments.tracer == nullptr,
                   "per-session tracing is not supported for cross-shard "
                   "sessions");
-    if (run.metrics != nullptr) {
-      metrics = run.metrics;
-    } else if (tracer != nullptr) {
-      metrics = &obs::GlobalMetrics();
+
+    // Shared resources are claimed only where the slot is free (first
+    // session wins); the channels and the source actor are session-owned.
+    claims.Injector(*run.link, instruments.injector);
+    for (auto* store : {run.source.store, run.destination.store}) {
+      if (store == nullptr) continue;
+      claims.Injector(*store, instruments.injector);
+      claims.Injector(store->Disk(), instruments.injector);
     }
-    if (tracer != nullptr) {
+    if (instruments.auditor != nullptr) {
+      for (std::uint32_t k = 0; k < nchan; ++k) {
+        forwards[k]->SetAuditor(instruments.auditor, forward_channel_id + k);
+      }
+      backward->SetAuditor(dest_side_auditor, backward_channel_id);
+    }
+    claims.Auditor(simulator, instruments.auditor);
+    if (cross_shard) claims.Auditor(dest_sim, dest_side_auditor);
+    if (run.destination.store != nullptr) {
+      claims.Auditor(*run.destination.store, dest_side_auditor);
+    }
+    if (instruments.tracer != nullptr) {
+      obs::TraceRecorder& tracer = *instruments.tracer;
       label = run.vm_id;
       label += "/";
       label += ToString(run.config.strategy);
@@ -289,12 +234,11 @@ struct MigrationSession::Impl {
         label += "#";
         label += std::to_string(run.session_id);
       }
-      const auto process = tracer->NewProcess(label);
-      session_track = tracer->Track(process, "session");
-      const auto source_track = tracer->Track(process, "source rounds");
+      const auto process = tracer.NewProcess(label);
+      session_track = tracer.Track(process, "session");
+      trace_source_track = tracer.Track(process, "source rounds");
       if (nchan == 1) {
-        forwards[0]->SetTracer(tracer,
-                               tracer->Track(process, "link to dest"));
+        forwards[0]->SetTracer(&tracer, tracer.Track(process, "link to dest"));
       } else {
         // Per-channel byte timelines: each stream gets its own track and
         // a "ch<k>" label so the counters stay separate series instead of
@@ -302,30 +246,16 @@ struct MigrationSession::Impl {
         for (std::uint32_t k = 0; k < nchan; ++k) {
           const std::string ch = "ch" + std::to_string(k);
           forwards[k]->SetTracer(
-              tracer, tracer->Track(process, "link to dest " + ch), ch);
+              &tracer, tracer.Track(process, "link to dest " + ch), ch);
         }
       }
-      backward->SetTracer(tracer, tracer->Track(process, "link to source"));
-      if (run.source.cpu->Tracer() == nullptr) {
-        run.source.cpu->SetTracer(tracer, tracer->Track(process, "cpu source"));
-        attached_source_cpu = true;
+      backward->SetTracer(&tracer, tracer.Track(process, "link to source"));
+      claims.Tracer(*run.source.cpu, &tracer, process, "cpu source");
+      claims.Tracer(*run.destination.cpu, &tracer, process, "cpu dest");
+      if (run.destination.store != nullptr) {
+        claims.Tracer(*run.destination.store, &tracer, process, "store");
       }
-      if (run.destination.cpu->Tracer() == nullptr) {
-        run.destination.cpu->SetTracer(tracer,
-                                       tracer->Track(process, "cpu dest"));
-        attached_dest_cpu = true;
-      }
-      if (run.destination.store != nullptr &&
-          run.destination.store->Tracer() == nullptr) {
-        run.destination.store->SetTracer(tracer,
-                                         tracer->Track(process, "store"));
-        attached_store_tracer = true;
-      }
-      if (simulator.Tracer() == nullptr) {
-        simulator.SetTracer(tracer, tracer->Track(process, "event loop"));
-        attached_simulator_tracer = true;
-      }
-      trace_source_track = source_track;
+      claims.Tracer(simulator, &tracer, process, "event loop");
     }
 
     DestinationActor::Params dest_params;
@@ -347,9 +277,7 @@ struct MigrationSession::Impl {
         run.source_memory->PageCount() / run.config.batch_pages + 16));
 
     const bool source_has_knowledge =
-        (run.source_knowledge_set != nullptr &&
-         !run.source_knowledge_set->Empty()) ||
-        !run.source_knowledge.empty();
+        run.source_knowledge != nullptr && !run.source_knowledge->Empty();
     const bool dest_has_checkpoint =
         UsesCheckpoint(run.config.strategy) &&
         run.destination.store != nullptr &&
@@ -376,8 +304,7 @@ struct MigrationSession::Impl {
       // Checksum-only records can only be satisfied from a checkpoint;
       // any stale knowledge the VM carries about this destination is
       // useless (e.g. the checkpoint was evicted or the VM was resized).
-      run.source_knowledge.clear();
-      run.source_knowledge_set.reset();
+      run.source_knowledge.reset();
     }
     if (!dest_has_checkpoint || !run.config.delta.enabled ||
         run.departure_seeds.size() != run.source_memory->PageCount()) {
@@ -416,13 +343,12 @@ struct MigrationSession::Impl {
     src_params.workload = run.workload;
     src_params.config = run.config;
     src_params.dest_digests = std::move(run.source_knowledge);
-    src_params.dest_digest_set = std::move(run.source_knowledge_set);
     src_params.departure_generations =
         std::move(run.departure_generations);
     src_params.departure_seeds = std::move(run.departure_seeds);
     src_params.shared_dedup_cache = run.shared_dedup_cache;
     src_params.session_id = run.session_id;
-    src_params.tracer = tracer;
+    src_params.tracer = instruments.tracer;
     src_params.trace_track = trace_source_track;
     src_params.lifetime = alive;
 
@@ -489,28 +415,9 @@ struct MigrationSession::Impl {
 
   ~Impl() {
     // Queued events of this session become no-ops before the actors and
-    // channels they would call into are freed.
+    // channels they would call into are freed; `claims` then detaches
+    // the instruments from the shared resources.
     if (alive != nullptr) *alive = false;
-    if (attached_simulator) run.simulator->SetAuditor(nullptr);
-    if (attached_dest_simulator) run.dest_simulator->SetAuditor(nullptr);
-    if (attached_store) run.destination.store->SetAuditor(nullptr);
-    if (attached_simulator_tracer) run.simulator->SetTracer(nullptr);
-    if (attached_source_cpu) run.source.cpu->SetTracer(nullptr);
-    if (attached_dest_cpu) run.destination.cpu->SetTracer(nullptr);
-    if (attached_store_tracer) run.destination.store->SetTracer(nullptr);
-    if (attached_link_injector) run.link->SetFaultInjector(nullptr);
-    if (attached_source_store_injector) {
-      run.source.store->SetFaultInjector(nullptr);
-    }
-    if (attached_dest_store_injector) {
-      run.destination.store->SetFaultInjector(nullptr);
-    }
-    if (attached_source_disk_injector) {
-      run.source.store->Disk().SetFaultInjector(nullptr);
-    }
-    if (attached_dest_disk_injector) {
-      run.destination.store->Disk().SetFaultInjector(nullptr);
-    }
   }
 
   /// Phases advance strictly forward; a backwards transition means the
@@ -544,7 +451,7 @@ struct MigrationSession::Impl {
     // speed) at the source while the scheduler decides on a retry.
     if (run.workload != nullptr) run.workload->SetThrottle(1.0);
     AdvanceTo(SessionPhase::kFailed);
-    if (tracer != nullptr) {
+    if (obs::TraceRecorder* tracer = instruments.tracer; tracer != nullptr) {
       tracer->Instant(session_track, tracer->Name("aborted: link cut"), at);
     }
     if (run.on_failed) run.on_failed(at);
@@ -575,6 +482,7 @@ struct MigrationSession::Impl {
   void AuditOutcome(const MigrationOutcome& outcome) const {
     const auto& stats = outcome.stats;
     const std::uint64_t page_count = run.source_memory->PageCount();
+    audit::SimAuditor* const auditor = instruments.auditor;
 
     // Page conservation: round 1 classifies every page into exactly one
     // mechanism — full send, checksum-only record, dedup reference, or
@@ -702,8 +610,8 @@ struct MigrationSession::Impl {
                     outcome.incoming_digests.end()),
         outcome.incoming_digests.end());
 
-    if (auditor != nullptr) AuditOutcome(outcome);
-    if (tracer != nullptr) {
+    if (instruments.auditor != nullptr) AuditOutcome(outcome);
+    if (obs::TraceRecorder* tracer = instruments.tracer; tracer != nullptr) {
       // Durations only known now: the whole migration and the setup scan,
       // recorded retroactively on the session track (they would overlap
       // the per-round spans on the source lane).
@@ -714,7 +622,7 @@ struct MigrationSession::Impl {
       tracer->Span(session_track, tracer->Name("downtime"),
                    source->PauseTime(), completed_at);
     }
-    if (metrics != nullptr) {
+    if (instruments.metrics != nullptr) {
       std::string metric_label = label;
       if (metric_label.empty()) {
         metric_label = run.vm_id;
@@ -723,7 +631,7 @@ struct MigrationSession::Impl {
           metric_label += std::to_string(run.session_id);
         }
       }
-      RecordMigrationStats(*metrics, metric_label, outcome.stats,
+      RecordMigrationStats(*instruments.metrics, metric_label, outcome.stats,
                            run.session_id);
     }
     return outcome;
@@ -740,33 +648,18 @@ struct MigrationSession::Impl {
   std::unique_ptr<net::Channel> backward;
   std::unique_ptr<DestinationActor> destination;
   std::unique_ptr<SourceActor> source;
-  std::unique_ptr<audit::SimAuditor> owned_auditor;
-  audit::SimAuditor* auditor = nullptr;
+  ResolvedInstruments instruments;
   /// Where the destination's worker reports: run.dest_auditor for a
   /// cross-shard session, otherwise the session auditor itself.
   audit::SimAuditor* dest_side_auditor = nullptr;
-  bool attached_simulator = false;
-  bool attached_dest_simulator = false;
-  bool attached_store = false;
-
-  std::unique_ptr<fault::FaultInjector> owned_injector;
-  fault::FaultInjector* injector = nullptr;
+  /// Declared after `instruments`, so the claims are released before a
+  /// session-private auditor or injector is freed.
+  InstrumentClaims claims;
   std::shared_ptr<bool> alive;
-  bool attached_link_injector = false;
-  bool attached_source_store_injector = false;
-  bool attached_dest_store_injector = false;
-  bool attached_source_disk_injector = false;
-  bool attached_dest_disk_injector = false;
 
-  obs::TraceRecorder* tracer = nullptr;
-  obs::MetricsRegistry* metrics = nullptr;
   std::string label;
   obs::TrackId session_track = 0;
   obs::TrackId trace_source_track = 0;
-  bool attached_simulator_tracer = false;
-  bool attached_source_cpu = false;
-  bool attached_dest_cpu = false;
-  bool attached_store_tracer = false;
 
   SimTime start_time = kSimEpoch;
   SimTime completed_at = kSimEpoch;

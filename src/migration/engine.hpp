@@ -14,11 +14,9 @@
 #include "audit/audit.hpp"
 #include "common/check.hpp"
 #include "digest/digest_set.hpp"
-#include "fault/fault.hpp"
 #include "migration/config.hpp"
+#include "migration/instruments.hpp"
 #include "migration/stats.hpp"
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "sim/checksum_engine.hpp"
 #include "sim/link.hpp"
 #include "sim/simulator.hpp"
@@ -101,14 +99,11 @@ struct MigrationRun {
 
   /// Digest set the source already knows to exist at the destination
   /// (ping-pong fast path, learned during the previous incoming
-  /// migration). Empty + content-hash strategy + checkpoint at the
-  /// destination triggers the §3.2 bulk exchange instead.
-  std::vector<Digest128> source_knowledge;
-
-  /// Prebuilt membership set with the same meaning as source_knowledge;
-  /// wins when non-null. VmInstance builds the set once per remembered
-  /// host, so repeat migrations probe it with zero rebuild cost.
-  std::shared_ptr<const DigestSet> source_knowledge_set;
+  /// migration). Null or empty + content-hash strategy + checkpoint at
+  /// the destination triggers the §3.2 bulk exchange instead. VmInstance
+  /// builds the set once per remembered host, so repeat migrations probe
+  /// it with zero rebuild cost.
+  std::shared_ptr<const DigestSet> source_knowledge;
 
   /// Generation counters at the moment the VM last left the destination
   /// (Miyakodori); empty means no dirty-tracking state.
@@ -128,33 +123,21 @@ struct MigrationRun {
   std::unordered_map<std::uint64_t, std::uint64_t>* shared_dedup_cache =
       nullptr;
 
-  /// External auditor to run this migration under (determinism harness /
-  /// tests). When null and auditing is requested via config.audit or
-  /// VECYCLE_AUDIT, the session creates a private one. The caller owns
-  /// the auditor and must outlive the session.
-  audit::SimAuditor* auditor = nullptr;
+  /// Explicit instruments (determinism harness, tests, the scheduler's
+  /// fleet-wide auditor or fault plan). Each one left null resolves from
+  /// config.audit / config.trace / config.faults, then from the VECYCLE_*
+  /// environment (ResolveInstruments). The session attaches them to the
+  /// shared simulator, link, stores, disks and CPUs only where no other
+  /// session's instrument already sits, and detaches what it attached.
+  Instruments instruments;
 
   /// Destination-side auditor for cross-shard sessions: the backward
   /// channel and the destination store report here, so every audit
   /// observation lands in the auditor of the shard whose worker made it.
-  /// Null (single-shard) falls back to `auditor`. Cross-shard sessions
-  /// with auditing must supply both, distinct — one auditor fed from two
-  /// workers would race.
+  /// Null (single-shard) falls back to the session auditor. Cross-shard
+  /// sessions with auditing must supply both, distinct — one auditor fed
+  /// from two workers would race.
   audit::SimAuditor* dest_auditor = nullptr;
-
-  /// External trace recorder / metrics registry (tests, custom sinks).
-  /// When null and tracing is requested via config.trace or VECYCLE_TRACE,
-  /// the session records into obs::GlobalTrace() / obs::GlobalMetrics().
-  /// The caller owns both and must outlive the session.
-  obs::TraceRecorder* tracer = nullptr;
-  obs::MetricsRegistry* metrics = nullptr;
-
-  /// External fault injector (the scheduler's mode: one plan shared by
-  /// every attempt and session of a fleet). Wins over config.faults and
-  /// VECYCLE_FAULTS; when null and either of those enables faults, the
-  /// session creates a private injector. The caller owns the injector
-  /// and must outlive the session.
-  fault::FaultInjector* injector = nullptr;
 
   /// Invoked at most once, when an injected link outage cuts one of this
   /// session's messages: the session enters SessionPhase::kFailed, drops

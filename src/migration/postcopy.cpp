@@ -29,15 +29,6 @@ enum class Residency : std::uint8_t {
 
 class PostCopyEngine {
  public:
-  ~PostCopyEngine() {
-    if (attached_simulator_) run_.simulator->SetAuditor(nullptr);
-    if (attached_store_) run_.dest_store->SetAuditor(nullptr);
-    if (attached_simulator_tracer_) run_.simulator->SetTracer(nullptr);
-    if (attached_source_cpu_) run_.source_cpu->SetTracer(nullptr);
-    if (attached_dest_cpu_) run_.dest_cpu->SetTracer(nullptr);
-    if (attached_store_tracer_) run_.dest_store->SetTracer(nullptr);
-  }
-
   explicit PostCopyEngine(PostCopyRun run) : run_(std::move(run)) {
     VEC_CHECK(run_.simulator != nullptr);
     VEC_CHECK(run_.link != nullptr);
@@ -45,53 +36,30 @@ class PostCopyEngine {
     VEC_CHECK(run_.source_cpu != nullptr);
     VEC_CHECK(run_.dest_cpu != nullptr);
     run_.config.Validate();
+    VEC_CHECK_MSG(run_.instruments.injector == nullptr,
+                  "post-copy has no fault seams; instruments.injector "
+                  "must be null");
 
-    if (run_.auditor != nullptr) {
-      auditor_ = run_.auditor;
-    } else if (run_.config.audit || audit::EnvEnabled()) {
-      owned_auditor_ = std::make_unique<audit::SimAuditor>();
-      auditor_ = owned_auditor_.get();
+    // Same precedence and claim rules as the pre-copy session.
+    instruments_ = ResolveInstruments(run_.instruments, run_.config.audit,
+                                      run_.config.trace, /*faults=*/nullptr);
+    if (obs::TraceRecorder* tracer = instruments_.tracer; tracer != nullptr) {
+      const auto process = tracer->NewProcess(run_.vm_id + "/postcopy");
+      phase_track_ = tracer->Track(process, "phases");
+      prefetch_track_ = tracer->Track(process, "prefetch");
+      fault_track_ = tracer->Track(process, "faults");
+      remaining_counter_ = tracer->Name("remaining_pages");
+      fault_name_ = tracer->Name("remote_fault");
+      claims_.Tracer(*run_.source_cpu, tracer, process, "cpu source");
+      claims_.Tracer(*run_.dest_cpu, tracer, process, "cpu dest");
+      if (run_.dest_store != nullptr) {
+        claims_.Tracer(*run_.dest_store, tracer, process, "store");
+      }
+      claims_.Tracer(*run_.simulator, tracer, process, "event loop");
     }
-
-    // Observability layer: same resolution as the pre-copy engine.
-    if (run_.tracer != nullptr) {
-      tracer_ = run_.tracer;
-    } else if (run_.config.trace || obs::EnvEnabled()) {
-      tracer_ = &obs::GlobalTrace();
-    }
-    if (run_.metrics != nullptr) {
-      metrics_ = run_.metrics;
-    } else if (tracer_ != nullptr) {
-      metrics_ = &obs::GlobalMetrics();
-    }
-    if (tracer_ != nullptr) {
-      const auto process = tracer_->NewProcess(run_.vm_id + "/postcopy");
-      phase_track_ = tracer_->Track(process, "phases");
-      prefetch_track_ = tracer_->Track(process, "prefetch");
-      fault_track_ = tracer_->Track(process, "faults");
-      remaining_counter_ = tracer_->Name("remaining_pages");
-      fault_name_ = tracer_->Name("remote_fault");
-      if (run_.source_cpu->Tracer() == nullptr) {
-        run_.source_cpu->SetTracer(tracer_,
-                                   tracer_->Track(process, "cpu source"));
-        attached_source_cpu_ = true;
-      }
-      if (run_.dest_cpu->Tracer() == nullptr) {
-        run_.dest_cpu->SetTracer(tracer_,
-                                 tracer_->Track(process, "cpu dest"));
-        attached_dest_cpu_ = true;
-      }
-      if (run_.dest_store != nullptr &&
-          run_.dest_store->Tracer() == nullptr) {
-        run_.dest_store->SetTracer(tracer_,
-                                   tracer_->Track(process, "store"));
-        attached_store_tracer_ = true;
-      }
-      if (run_.simulator->Tracer() == nullptr) {
-        run_.simulator->SetTracer(tracer_,
-                                  tracer_->Track(process, "event loop"));
-        attached_simulator_tracer_ = true;
-      }
+    claims_.Auditor(*run_.simulator, instruments_.auditor);
+    if (run_.dest_store != nullptr) {
+      claims_.Auditor(*run_.dest_store, instruments_.auditor);
     }
 
     auto& source = *run_.source_memory;
@@ -110,16 +78,6 @@ class PostCopyEngine {
     auto& simulator = *run_.simulator;
     auto& source = *run_.source_memory;
     const SimTime t0 = simulator.Now();
-
-    if (auditor_ != nullptr && simulator.Auditor() == nullptr) {
-      simulator.SetAuditor(auditor_);
-      attached_simulator_ = true;
-    }
-    if (auditor_ != nullptr && run_.dest_store != nullptr &&
-        run_.dest_store->Auditor() == nullptr) {
-      run_.dest_store->SetAuditor(auditor_);
-      attached_store_ = true;
-    }
 
     // Destination setup: restore the stale checkpoint if we may use it.
     SimTime setup_done = t0;
@@ -179,20 +137,21 @@ class PostCopyEngine {
                   "post-copy reconstruction diverged");
     dest_memory_->SetGenerations(source.Generations());
 
-    if (auditor_ != nullptr) AuditOutcome(source);
+    if (instruments_.auditor != nullptr) AuditOutcome(source);
 
-    if (tracer_ != nullptr) {
+    if (obs::TraceRecorder* tracer = instruments_.tracer; tracer != nullptr) {
       // Durations only known now, recorded retroactively on one lane:
       // setup scan, the switchover gap (the entire downtime), and the
       // residency window the prefetcher and faults filled.
-      tracer_->Span(phase_track_, tracer_->Name("setup"), t0, setup_done);
-      tracer_->Span(phase_track_, tracer_->Name("switchover"), switch_start,
-                    resumed);
-      tracer_->Span(phase_track_, tracer_->Name("residency"), resumed_at_,
-                    resumed_at_ + stats_.time_to_residency);
+      tracer->Span(phase_track_, tracer->Name("setup"), t0, setup_done);
+      tracer->Span(phase_track_, tracer->Name("switchover"), switch_start,
+                   resumed);
+      tracer->Span(phase_track_, tracer->Name("residency"), resumed_at_,
+                   resumed_at_ + stats_.time_to_residency);
     }
-    if (metrics_ != nullptr) {
-      RecordPostCopyStats(*metrics_, run_.vm_id + "/postcopy", stats_);
+    if (instruments_.metrics != nullptr) {
+      RecordPostCopyStats(*instruments_.metrics, run_.vm_id + "/postcopy",
+                          stats_);
     }
 
     PostCopyOutcome outcome;
@@ -215,13 +174,13 @@ class PostCopyEngine {
     VEC_CHECK_MSG(dest_memory_->ContentFingerprint() ==
                       source.ContentFingerprint(),
                   "audit: post-copy destination digest != source digest");
-    auditor_->OnScalar("pc_remote_faults", stats_.remote_faults);
-    auditor_->OnScalar("pc_tx_bytes", stats_.tx_bytes.count);
-    auditor_->OnScalar(
+    audit::SimAuditor& auditor = *instruments_.auditor;
+    auditor.OnScalar("pc_remote_faults", stats_.remote_faults);
+    auditor.OnScalar("pc_tx_bytes", stats_.tx_bytes.count);
+    auditor.OnScalar(
         "pc_residency_ns",
         static_cast<std::uint64_t>(stats_.time_to_residency.count()));
-    auditor_->OnScalar("pc_memory_digest",
-                       dest_memory_->ContentFingerprint());
+    auditor.OnScalar("pc_memory_digest", dest_memory_->ContentFingerprint());
   }
 
   void MarkResident(vm::PageId page) {
@@ -268,9 +227,9 @@ class PostCopyEngine {
 
   void PumpPrefetch() {
     const SimTime now = run_.simulator->Now();
-    if (tracer_ != nullptr) {
-      tracer_->Counter(prefetch_track_, remaining_counter_, now,
-                       static_cast<double>(remaining_));
+    if (instruments_.tracer != nullptr) {
+      instruments_.tracer->Counter(prefetch_track_, remaining_counter_, now,
+                                   static_cast<double>(remaining_));
     }
     std::uint32_t handled = 0;
     SimTime last_arrival = now;
@@ -357,9 +316,10 @@ class PostCopyEngine {
         const SimTime arrival = BookFetch(page, ready);
         fetch_arrival_[page] = arrival;
         ++stats_.remote_faults;
-        if (tracer_ != nullptr) {
-          tracer_->Instant(fault_track_, fault_name_, now);
-          tracer_->Arg(tracer_->Name("page"), page);
+        if (obs::TraceRecorder* tracer = instruments_.tracer;
+            tracer != nullptr) {
+          tracer->Instant(fault_track_, fault_name_, now);
+          tracer->Arg(tracer->Name("page"), page);
         }
         stats_.total_stall += arrival - now;
         resume_at = arrival;
@@ -391,21 +351,15 @@ class PostCopyEngine {
   sim::ChecksumEngine fault_cpu_{sim::ChecksumEngineConfig{}};
   Xoshiro256 touch_rng_{1};
   PostCopyStats stats_;
-  std::unique_ptr<audit::SimAuditor> owned_auditor_;
-  audit::SimAuditor* auditor_ = nullptr;
-  bool attached_simulator_ = false;
-  bool attached_store_ = false;
-  obs::TraceRecorder* tracer_ = nullptr;
-  obs::MetricsRegistry* metrics_ = nullptr;
+  ResolvedInstruments instruments_;
+  /// Declared after `instruments_`, so the claims are released before a
+  /// run-private auditor is freed.
+  InstrumentClaims claims_;
   obs::TrackId phase_track_ = 0;
   obs::TrackId prefetch_track_ = 0;
   obs::TrackId fault_track_ = 0;
   obs::NameId remaining_counter_ = 0;
   obs::NameId fault_name_ = 0;
-  bool attached_simulator_tracer_ = false;
-  bool attached_source_cpu_ = false;
-  bool attached_dest_cpu_ = false;
-  bool attached_store_tracer_ = false;
   bool finished_ = false;
 };
 

@@ -19,12 +19,10 @@
 #include <memory>
 #include <vector>
 
-#include "audit/audit.hpp"
 #include "common/rng.hpp"
 #include "common/units.hpp"
 #include "migration/config.hpp"
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
+#include "migration/instruments.hpp"
 #include "sim/checksum_engine.hpp"
 #include "sim/link.hpp"
 #include "sim/simulator.hpp"
@@ -90,15 +88,11 @@ struct PostCopyRun {
   storage::VmId vm_id = "vm";
   PostCopyConfig config;
 
-  /// External auditor (determinism harness / tests); when null and
-  /// auditing is requested, the run creates a private one. Caller-owned.
-  audit::SimAuditor* auditor = nullptr;
-
-  /// External trace recorder / metrics registry; when null and tracing is
-  /// requested via config.trace or VECYCLE_TRACE, the run records into
-  /// obs::GlobalTrace() / obs::GlobalMetrics(). Caller-owned.
-  obs::TraceRecorder* tracer = nullptr;
-  obs::MetricsRegistry* metrics = nullptr;
+  /// Explicit auditor, tracer and metrics registry; each one left null
+  /// resolves from config.audit / config.trace, then from VECYCLE_AUDIT /
+  /// VECYCLE_TRACE (ResolveInstruments). Post-copy has no fault seams, so
+  /// `instruments.injector` must stay null.
+  Instruments instruments;
 };
 
 struct PostCopyOutcome {

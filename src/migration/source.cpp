@@ -37,18 +37,11 @@ SourceActor::SourceActor(Params params) : params_(std::move(params)) {
       dest_view_known_.assign(params_.memory->PageCount(), 0);
     }
   }
-  if (params_.dest_digest_set != nullptr) {
-    shared_dest_digests_ = std::move(params_.dest_digest_set);
-  } else if (!params_.dest_digests.empty()) {
-    owned_dest_digests_ = DigestSet(std::move(params_.dest_digests));
-  }
 }
 
 bool SourceActor::DestHas(const Digest128& digest) const {
-  const DigestSet& digests = shared_dest_digests_ != nullptr
-                                 ? *shared_dest_digests_
-                                 : owned_dest_digests_;
-  return digests.Contains(digest);
+  return params_.dest_digests != nullptr &&
+         params_.dest_digests->Contains(digest);
 }
 
 void SourceActor::Start(SimTime start) {
@@ -70,8 +63,8 @@ void SourceActor::OnMessage(net::Message&& message, SimTime arrival) {
           message.WireSize(params_.config.algorithm);
       // Consume the payload by move; the hash set needs no sort, so the
       // digests go straight from the wire into the probe table.
-      owned_dest_digests_ = DigestSet(std::move(message.bulk_hashes));
-      shared_dest_digests_.reset();
+      params_.dest_digests =
+          std::make_shared<const DigestSet>(std::move(message.bulk_hashes));
       Start(arrival);
       break;
     }

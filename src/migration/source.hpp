@@ -41,15 +41,12 @@ class SourceActor {
     vm::GuestMemory* memory = nullptr;  ///< the live VM
     vm::Workload* workload = nullptr;   ///< nullable: frozen guest
     MigrationConfig config;
-    /// Digests of pages known to exist at the destination (any order).
-    /// For ping-pong migrations the caller provides this from the
-    /// previous incoming migration; otherwise it arrives via the bulk
-    /// exchange. Built into a flat hash set once, at construction.
-    std::vector<Digest128> dest_digests;
-    /// Prebuilt membership set sharing the same meaning as dest_digests —
-    /// the zero-rebuild fast path for callers (VmInstance) that keep the
-    /// set across migrations. Wins over dest_digests when non-null.
-    std::shared_ptr<const DigestSet> dest_digest_set;
+    /// Digests of pages known to exist at the destination. For ping-pong
+    /// migrations the caller provides this from the previous incoming
+    /// migration (VmInstance keeps the set across migrations, so nothing
+    /// is rebuilt); otherwise the bulk exchange replaces it on arrival.
+    /// Null means nothing is known.
+    std::shared_ptr<const DigestSet> dest_digests;
     /// Per-page generation counters at the moment the VM last left the
     /// destination host (Miyakodori state); empty disables dirty skips.
     std::vector<std::uint64_t> departure_generations;
@@ -200,10 +197,6 @@ class SourceActor {
 
   Params params_;
   MigrationStats stats_;
-  /// O(1) destination-membership set (owned: built from dest_digests or
-  /// the bulk exchange). Unused when the caller provided a prebuilt set.
-  DigestSet owned_dest_digests_;
-  std::shared_ptr<const DigestSet> shared_dest_digests_;
   /// Sender-side dedup cache: chunk content key (single-page chunk
   /// digest, storage::ChunkContentKey) -> cache slot of the first
   /// transmission this migration.

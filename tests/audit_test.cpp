@@ -141,7 +141,7 @@ migration::MigrationOutcome RunAuditedReturnMigration(
   config.audit = true;
   auto run = bed.MakeRun(memory, config);
   run.departure_generations = departure_generations;
-  run.auditor = auditor;
+  run.instruments.auditor = auditor;
   return migration::RunMigration(std::move(run));
 }
 
@@ -264,7 +264,7 @@ TEST(PostCopyAudit, ResidencyConservationAndDigestRunGreen) {
   run.source_cpu = &src_cpu;
   run.dest_cpu = &dst_cpu;
   run.dest_store = &dst_store;
-  run.auditor = &auditor;
+  run.instruments.auditor = &auditor;
   const auto outcome = migration::RunPostCopyMigration(std::move(run));
 
   EXPECT_TRUE(outcome.dest_memory->ContentEquals(memory));
@@ -294,7 +294,7 @@ std::uint64_t MigrationScenario(SimAuditor& auditor,
   config.strategy = migration::Strategy::kHashes;
   auto run = bed.MakeRun(memory, config);
   run.departure_generations = departure_generations;
-  run.auditor = &auditor;
+  run.instruments.auditor = &auditor;
   const auto outcome = migration::RunMigration(std::move(run));
   return outcome.stats.tx_bytes.count ^ (outcome.stats.rounds * 0x9e37ull);
 }

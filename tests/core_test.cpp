@@ -128,7 +128,8 @@ TEST(Orchestrator, MigrationMovesVmAndLeavesCheckpoint) {
   EXPECT_FALSE(world.cluster.GetHost("B").Store().Has("vm-1"));
   // The VM remembers what it left behind; the source store is the system
   // of record for the departure-time generations and delta baseline.
-  EXPECT_FALSE(vm.KnownPagesAt("A").empty());
+  ASSERT_NE(vm.KnownPageSetAt("A"), nullptr);
+  EXPECT_FALSE(vm.KnownPageSetAt("A")->Empty());
   EXPECT_EQ(world.cluster.GetHost("A").Store().DepartureGenerations("vm-1"),
             before);
   EXPECT_EQ(world.cluster.GetHost("A").Store().BaselineSeeds("vm-1"),

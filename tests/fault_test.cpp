@@ -327,8 +327,8 @@ migration::MigrationStats RunRecycledMigration(bool rot,
   MigrationConfig migration_config;
   migration_config.strategy = Strategy::kHashes;
   auto run = bed.MakeRun(memory, migration_config);
-  run.auditor = &auditor;
-  run.source_knowledge = knowledge;
+  run.instruments.auditor = &auditor;
+  run.source_knowledge = std::make_shared<const DigestSet>(knowledge);
   auto outcome = RunMigration(std::move(run));
   // The acceptance bar: the reconstructed memory is bit-identical to the
   // fault-free run's (both must equal the live source).
@@ -445,7 +445,7 @@ TEST(FaultRecovery, FaultedMigrationReplaysDeterministically) {
     config.faults.corrupt_probability = 1.0;
     config.faults.horizon = Hours(2.0);
     auto run = bed.MakeRun(memory, config);
-    run.auditor = &auditor;
+    run.instruments.auditor = &auditor;
     auto outcome = RunMigration(std::move(run));
     bed.simulator.SetAuditor(nullptr);
     return static_cast<std::uint64_t>(outcome.stats.tx_bytes.count) ^
@@ -474,7 +474,7 @@ TEST(FaultRecovery, SchedulerRetriesAfterOutageAndSucceeds) {
   const auto window = injector.LinkOutages().front();
 
   core::SchedulerConfig scheduler_config;
-  scheduler_config.injector = &injector;
+  scheduler_config.instruments.injector = &injector;
   scheduler_config.max_attempts = 10;
   core::MigrationOrchestrator orchestrator(world.cluster, scheduler_config);
   auto vm = MakeVm("vm-1", MiB(16), 5);
@@ -513,7 +513,7 @@ TEST(FaultRecovery, AttemptCapThrowsTypedAbortByDefault) {
   PairWorld world;
   fault::FaultInjector injector(AlwaysDown(2));
   core::SchedulerConfig scheduler_config;
-  scheduler_config.injector = &injector;
+  scheduler_config.instruments.injector = &injector;
   scheduler_config.max_attempts = 3;
   core::MigrationOrchestrator orchestrator(world.cluster, scheduler_config);
   auto vm = MakeVm("vm-1", MiB(8), 6);
@@ -527,7 +527,7 @@ TEST(FaultRecovery, AttemptCapRecordsAbortWhenAskedToKeepDraining) {
   PairWorld world;
   fault::FaultInjector injector(AlwaysDown(2));
   core::SchedulerConfig scheduler_config;
-  scheduler_config.injector = &injector;
+  scheduler_config.instruments.injector = &injector;
   scheduler_config.max_attempts = 3;
   scheduler_config.throw_on_abort = false;
   core::MigrationOrchestrator orchestrator(world.cluster, scheduler_config);
@@ -557,7 +557,7 @@ TEST(FaultRecovery, EnvFaultsCorruptWriteBackAndTheReturnLegRecovers) {
       -> std::vector<migration::MigrationStats> {
     PairWorld world;
     core::SchedulerConfig scheduler_config;
-    scheduler_config.auditor = auditor;
+    scheduler_config.instruments.auditor = auditor;
     core::MigrationOrchestrator orchestrator(world.cluster,
                                              scheduler_config);
     orchestrator.Deploy(vm, "A");

@@ -1,14 +1,18 @@
 // End-to-end migration engine tests: every strategy must reconstruct the
 // source memory exactly, and the per-strategy traffic/time behaviour must
 // match the paper's mechanics (checksum-only records for matches, dirty
-// skips, dedup references, multi-round convergence, stop-and-copy).
+// skips, dedup references, multi-round convergence, stop-and-copy). Also
+// pins the instrument claim contract on the shared resources.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <ostream>
+#include <string>
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
 #include "migration/engine.hpp"
+#include "migration/postcopy.hpp"
 #include "storage/checkpoint.hpp"
 #include "vm/workload.hpp"
 
@@ -89,7 +93,7 @@ TEST_P(StrategyCorrectness, ReconstructsMemoryWithStaleCheckpoint) {
   MigrationConfig config;
   config.strategy = GetParam();
   auto run = bed.MakeRun(memory, config);
-  run.source_knowledge = knowledge;
+  run.source_knowledge = std::make_shared<const DigestSet>(knowledge);
   run.departure_generations = departure_generations;
   auto outcome = RunMigration(std::move(run));
   EXPECT_TRUE(outcome.dest_memory->ContentEquals(memory));
@@ -180,7 +184,7 @@ TEST(Migration, HashesIdenticalStateSendsOnlyChecksums) {
   MigrationConfig config;
   config.strategy = Strategy::kHashes;
   auto run = bed.MakeRun(memory, config);
-  run.source_knowledge = DigestsOf(memory);
+  run.source_knowledge = std::make_shared<const DigestSet>(DigestsOf(memory));
   auto outcome = RunMigration(std::move(run));
 
   EXPECT_EQ(outcome.stats.pages_sent_full,
@@ -206,7 +210,7 @@ TEST(Migration, HashesFetchesMovedContentFromCheckpoint) {
   MigrationConfig config;
   config.strategy = Strategy::kHashes;
   auto run = bed.MakeRun(memory, config);
-  run.source_knowledge = knowledge;
+  run.source_knowledge = std::make_shared<const DigestSet>(knowledge);
   auto outcome = RunMigration(std::move(run));
 
   EXPECT_TRUE(outcome.dest_memory->ContentEquals(memory));
@@ -238,7 +242,7 @@ TEST(Migration, HashesWithKnowledgeSkipsBulkExchange) {
   MigrationConfig config;
   config.strategy = Strategy::kHashes;
   auto run = bed.MakeRun(memory, config);
-  run.source_knowledge = DigestsOf(memory);
+  run.source_knowledge = std::make_shared<const DigestSet>(DigestsOf(memory));
   auto outcome = RunMigration(std::move(run));
   EXPECT_EQ(outcome.stats.bulk_exchange_bytes.count, 0u);
 }
@@ -305,7 +309,7 @@ TEST(Migration, DirtyTrackingOverestimatesOnRemap) {
   MigrationConfig hash_config;
   hash_config.strategy = Strategy::kHashes;
   auto hash_run = bed2.MakeRun(memory, hash_config);
-  hash_run.source_knowledge = knowledge;
+  hash_run.source_knowledge = std::make_shared<const DigestSet>(knowledge);
   auto hash_outcome = RunMigration(std::move(hash_run));
 
   EXPECT_GT(dirty_outcome.stats.tx_bytes.count,
@@ -434,7 +438,8 @@ TEST(Migration, VeCycleIsFasterThanBaselineAtHighSimilarity) {
     MigrationConfig config;
     config.strategy = strategy;
     auto run = bed->MakeRun(memory, config);
-    run.source_knowledge = std::move(knowledge);
+    run.source_knowledge =
+        std::make_shared<const DigestSet>(std::move(knowledge));
     return RunMigration(std::move(run)).stats;
   };
 
@@ -463,7 +468,7 @@ TEST(Migration, ChecksumRateBoundsVeCycle) {
   MigrationConfig config;
   config.strategy = Strategy::kHashes;
   auto run = bed.MakeRun(memory, config);
-  run.source_knowledge = DigestsOf(memory);
+  run.source_knowledge = std::make_shared<const DigestSet>(DigestsOf(memory));
   auto outcome = RunMigration(std::move(run));
   const double hash_seconds = 64.0 / 350.0;
   EXPECT_GT(ToSeconds(outcome.stats.total_time), hash_seconds * 0.9);
@@ -539,7 +544,9 @@ TEST(QueryProtocol, PingPongKnowledgeBypassesQueries) {
   config.strategy = Strategy::kHashes;
   config.hash_exchange = HashExchangeMode::kPerPageQuery;
   auto run = bed.MakeRun(memory, config);
-  run.source_knowledge = DigestsOf(memory);  // ping-pong fast path
+  // ping-pong fast path
+  run.source_knowledge =
+      std::make_shared<const DigestSet>(DigestsOf(memory));
   auto outcome = RunMigration(std::move(run));
   EXPECT_EQ(outcome.stats.query_count, 0u);
 }
@@ -598,7 +605,7 @@ TEST(Compression, ComposesWithVeCycle) {
     config.strategy = Strategy::kHashes;
     config.compression.enabled = compress;
     auto run = bed.MakeRun(memory, config);
-    run.source_knowledge = knowledge;
+    run.source_knowledge = std::make_shared<const DigestSet>(knowledge);
     return RunMigration(std::move(run)).stats;
   };
   const auto without = run_one(false);
@@ -630,7 +637,8 @@ TEST(Migration, ResizedVmIgnoresStaleCheckpoint) {
   MigrationConfig config;
   config.strategy = Strategy::kHashes;
   auto run = bed.MakeRun(memory, config);
-  run.source_knowledge = DigestsOf(old_memory);
+  run.source_knowledge =
+      std::make_shared<const DigestSet>(DigestsOf(old_memory));
   run.departure_generations = old_memory.Generations();
   auto outcome = RunMigration(std::move(run));
   EXPECT_TRUE(outcome.dest_memory->ContentEquals(memory));
@@ -659,7 +667,7 @@ TEST(Migration, CorruptCheckpointDegradesPerPage) {
   MigrationConfig config;
   config.strategy = Strategy::kHashes;
   auto run = bed.MakeRun(memory, config);
-  run.source_knowledge = DigestsOf(memory);
+  run.source_knowledge = std::make_shared<const DigestSet>(DigestsOf(memory));
   auto outcome = RunMigration(std::move(run));
 
   EXPECT_TRUE(outcome.dest_memory->ContentEquals(memory));
@@ -680,7 +688,7 @@ TEST(Migration, IntactCheckpointPassesIntegrityCheck) {
   MigrationConfig config;
   config.strategy = Strategy::kHashes;
   auto run = bed.MakeRun(memory, config);
-  run.source_knowledge = DigestsOf(memory);
+  run.source_knowledge = std::make_shared<const DigestSet>(DigestsOf(memory));
   auto outcome = RunMigration(std::move(run));
   EXPECT_GT(outcome.stats.pages_sent_checksum, 0u);  // recycled as normal
 }
@@ -699,6 +707,177 @@ TEST(Migration, DirtyTrackingWithResizedVmDegradesToFull) {
   EXPECT_TRUE(outcome.dest_memory->ContentEquals(memory));
   EXPECT_EQ(outcome.stats.pages_skipped_clean, 0u);
 }
+
+// --- Instrument claims: shared slots are taken only when free and given
+// back exactly. ---
+
+/// Instruments a caller attaches to shared resources before a session.
+struct CallerInstruments {
+  explicit CallerInstruments(const fault::FaultConfig& faults)
+      : injector(faults) {}
+  audit::SimAuditor auditor;
+  obs::TraceRecorder tracer;
+  fault::FaultInjector injector;
+};
+
+/// One instrument slot on one shared resource of the TestBed: what sits
+/// in it, and how a caller fills it.
+struct ClaimSlot {
+  const char* name;
+  const void* (*get)(TestBed&);
+  void (*put)(TestBed&, CallerInstruments&);
+};
+
+/// Test names print the slot name, not the function pointers' bytes.
+void PrintTo(const ClaimSlot& slot, std::ostream* out) { *out << slot.name; }
+
+void PutTracer(auto& resource, obs::TraceRecorder& tracer) {
+  resource.SetTracer(&tracer, tracer.Track(tracer.NewProcess("caller"), "own"));
+}
+
+const ClaimSlot kClaimSlots[] = {
+    {"LinkInjector",
+     [](TestBed& b) -> const void* { return b.link.Injector(); },
+     [](TestBed& b, CallerInstruments& c) {
+       b.link.SetFaultInjector(&c.injector);
+     }},
+    {"SourceStoreInjector",
+     [](TestBed& b) -> const void* { return b.src_store.Injector(); },
+     [](TestBed& b, CallerInstruments& c) {
+       b.src_store.SetFaultInjector(&c.injector);
+     }},
+    {"DestStoreInjector",
+     [](TestBed& b) -> const void* { return b.dst_store.Injector(); },
+     [](TestBed& b, CallerInstruments& c) {
+       b.dst_store.SetFaultInjector(&c.injector);
+     }},
+    {"SourceDiskInjector",
+     [](TestBed& b) -> const void* { return b.src_store.Disk().Injector(); },
+     [](TestBed& b, CallerInstruments& c) {
+       b.src_store.Disk().SetFaultInjector(&c.injector);
+     }},
+    {"DestDiskInjector",
+     [](TestBed& b) -> const void* { return b.dst_store.Disk().Injector(); },
+     [](TestBed& b, CallerInstruments& c) {
+       b.dst_store.Disk().SetFaultInjector(&c.injector);
+     }},
+    {"SimulatorAuditor",
+     [](TestBed& b) -> const void* { return b.simulator.Auditor(); },
+     [](TestBed& b, CallerInstruments& c) {
+       b.simulator.SetAuditor(&c.auditor);
+     }},
+    {"DestStoreAuditor",
+     [](TestBed& b) -> const void* { return b.dst_store.Auditor(); },
+     [](TestBed& b, CallerInstruments& c) {
+       b.dst_store.SetAuditor(&c.auditor);
+     }},
+    {"SimulatorTracer",
+     [](TestBed& b) -> const void* { return b.simulator.Tracer(); },
+     [](TestBed& b, CallerInstruments& c) {
+       PutTracer(b.simulator, c.tracer);
+     }},
+    {"SourceCpuTracer",
+     [](TestBed& b) -> const void* { return b.src_cpu.Tracer(); },
+     [](TestBed& b, CallerInstruments& c) {
+       PutTracer(b.src_cpu, c.tracer);
+     }},
+    {"DestCpuTracer",
+     [](TestBed& b) -> const void* { return b.dst_cpu.Tracer(); },
+     [](TestBed& b, CallerInstruments& c) {
+       PutTracer(b.dst_cpu, c.tracer);
+     }},
+    {"DestStoreTracer",
+     [](TestBed& b) -> const void* { return b.dst_store.Tracer(); },
+     [](TestBed& b, CallerInstruments& c) {
+       PutTracer(b.dst_store, c.tracer);
+     }},
+};
+
+/// Every instrument armed: a private auditor from config.audit and a
+/// private injector from config.faults — a plan with no faults, or one
+/// whose link outage cuts the session's first message.
+MigrationConfig ArmedConfig(bool outage) {
+  MigrationConfig config;
+  config.strategy = Strategy::kHashes;
+  config.audit = true;
+  config.faults.enabled = true;
+  if (outage) {
+    config.faults.seed = 2;
+    config.faults.link_outages_per_hour = 360000.0;
+    config.faults.link_outage_mean = Hours(1.0);
+    config.faults.horizon = Hours(2.0);
+  }
+  return config;
+}
+
+class InstrumentClaim : public ::testing::TestWithParam<ClaimSlot> {};
+
+TEST_P(InstrumentClaim, TakesOnlyFreeSlotsAndGivesBackWhatItTook) {
+  const ClaimSlot& slot = GetParam();
+  // Pre-copy, completed or aborted by a link outage, with the slot free
+  // or already holding the caller's instrument.
+  for (const bool outage : {false, true}) {
+    for (const bool caller_first : {false, true}) {
+      SCOPED_TRACE(std::string(outage ? "aborted" : "completed") +
+                   (caller_first ? ", caller attached first" : ""));
+      const MigrationConfig config = ArmedConfig(outage);
+      TestBed bed;
+      // The caller's injector runs the same plan, so a caller-held link
+      // still cuts the session.
+      CallerInstruments mine(config.faults);
+      if (caller_first) slot.put(bed, mine);
+      const void* const before = slot.get(bed);
+      auto memory = RandomMemory(MiB(2), 71);
+      obs::TraceRecorder tracer;
+      obs::MetricsRegistry metrics;
+      auto run = bed.MakeRun(memory, config);
+      run.instruments.tracer = &tracer;
+      run.instruments.metrics = &metrics;
+      {
+        MigrationSession session(std::move(run));
+        bed.simulator.Run();
+        EXPECT_EQ(session.Failed(), outage);
+        if (caller_first) {
+          EXPECT_EQ(slot.get(bed), before) << "caller's instrument replaced";
+        } else {
+          EXPECT_NE(slot.get(bed), nullptr) << "free slot left unclaimed";
+        }
+      }
+      EXPECT_EQ(slot.get(bed), before);
+    }
+  }
+
+  // Post-copy claims the simulator, CPU and destination-store slots the
+  // same way (it has no fault seams, so the injector slots stay free).
+  TestBed bed;
+  auto memory = RandomMemory(MiB(2), 72);
+  obs::TraceRecorder tracer;
+  obs::MetricsRegistry metrics;
+  PostCopyRun run;
+  run.simulator = &bed.simulator;
+  run.link = &bed.link;
+  run.source_memory = &memory;
+  run.source_cpu = &bed.src_cpu;
+  run.dest_cpu = &bed.dst_cpu;
+  run.dest_store = &bed.dst_store;
+  run.config.audit = true;
+  run.instruments.tracer = &tracer;
+  run.instruments.metrics = &metrics;
+  RunPostCopyMigration(std::move(run));
+  EXPECT_EQ(slot.get(bed), nullptr);
+  // A claimed lane exists only because its claim succeeded.
+  const std::string json = tracer.ChromeTraceJson();
+  for (const char* lane : {"cpu source", "cpu dest", "store", "event loop"}) {
+    EXPECT_NE(json.find(std::string("\"") + lane + "\""), std::string::npos)
+        << lane;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SharedResources, InstrumentClaim, ::testing::ValuesIn(kClaimSlots),
+    [](const ::testing::TestParamInfo<ClaimSlot>& info) {
+      return std::string(info.param.name);
+    });
 
 // --- Config validation. ---
 

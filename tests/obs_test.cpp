@@ -239,8 +239,8 @@ migration::MigrationOutcome RunTracedReturnMigration(
   config.strategy = strategy;
   auto run = bed.MakeRun(memory, config);
   run.departure_generations = departure_generations;
-  run.tracer = &tracer;
-  run.metrics = &metrics;
+  run.instruments.tracer = &tracer;
+  run.instruments.metrics = &metrics;
   auto outcome = migration::RunMigration(std::move(run));
   // The run-private wiring must be gone: shared resources cannot keep a
   // pointer into a recorder the caller may destroy.
@@ -388,9 +388,9 @@ TEST(MigrationTrace, ReplayCheckCoversTheTracedRun) {
         config.strategy = migration::Strategy::kHashesPlusDedup;
         auto run = bed.MakeRun(memory, config);
         run.departure_generations = departure_generations;
-        run.auditor = &auditor;
-        run.tracer = &tracer;
-        run.metrics = &metrics;
+        run.instruments.auditor = &auditor;
+        run.instruments.tracer = &tracer;
+        run.instruments.metrics = &metrics;
         migration::RunMigration(std::move(run));
 
         std::uint64_t fingerprint = 0xcbf29ce484222325ull;
@@ -428,8 +428,8 @@ TEST(PostCopyTrace, EmitsPhasesFaultsAndMetrics) {
   run.source_cpu = &src_cpu;
   run.dest_cpu = &dst_cpu;
   run.dest_store = &dst_store;
-  run.tracer = &tracer;
-  run.metrics = &metrics;
+  run.instruments.tracer = &tracer;
+  run.instruments.metrics = &metrics;
   const auto outcome = migration::RunPostCopyMigration(std::move(run));
   EXPECT_EQ(simulator.Tracer(), nullptr);  // detached on completion
 

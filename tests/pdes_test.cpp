@@ -1,9 +1,9 @@
 // Conservative-PDES sharding: ShardPlan determinism and validation, the
 // barrier-window lookahead contract, cross-shard migration sessions, and
 // the worker-count determinism sweep (ReplayCheck::VerifyWorkers) with
-// and without intra-shard faults. Also covers the saturating
-// retry-backoff arithmetic the PDES control plane shares with the serial
-// scheduler.
+// and without intra-shard faults, and the refusal of flag- and env-armed
+// tracing. Also covers the saturating retry-backoff arithmetic the PDES
+// control plane shares with the serial scheduler.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -343,6 +343,51 @@ TEST(PdesDeterminism, MultifdSessionsReplayUnderChannelFaults) {
     return SplitMix64(folded ^ scheduler.Retries()).Next();
   };
   audit::ReplayCheck::VerifyWorkers(scenario, {1, 2, 4});
+}
+
+// --- Instruments in PDES mode ------------------------------------------
+
+TEST(PdesInstruments, SubmitRejectsFlagAndEnvArmedTracing) {
+  // Flag- and env-armed tracing resolve to the one process-wide recorder,
+  // which the shard workers would write concurrently; PDES mode refuses
+  // such a request before it is queued, whatever shards it would touch.
+  const char* saved = std::getenv("VECYCLE_TRACE");
+  const std::string restore = saved == nullptr ? "" : saved;
+  ::unsetenv("VECYCLE_TRACE");
+
+  sim::ShardedSimulator pdes(2);
+  core::Cluster cluster(pdes.Shard(0));
+  sim::ShardPlan plan;
+  for (std::uint32_t site = 0; site < 2; ++site) {
+    cluster.AddHost({HostName(site, 0), sim::DiskConfig::Ssd(), {}, {}, {}});
+    cluster.AddHost({HostName(site, 1), sim::DiskConfig::Ssd(), {}, {}, {}});
+    plan.Assign(HostName(site, 0), site);
+    plan.Assign(HostName(site, 1), site);
+    cluster.Connect(HostName(site, 0), HostName(site, 1),
+                    sim::LinkConfig::Lan());
+  }
+  SchedulerConfig sconfig;
+  sconfig.workers = 1;
+  MigrationScheduler scheduler(cluster, pdes, plan, sconfig);
+  VmInstance vm("vm-0", MiB(1), vm::ContentMode::kSeedOnly);
+  Xoshiro256 rng(0x7ace);
+  vm::MemoryProfile{}.Apply(vm.Memory(), rng);
+  vm.SetCurrentHost(HostName(0, 0));
+
+  migration::MigrationConfig traced;
+  traced.trace = true;
+  EXPECT_THROW(scheduler.Submit(vm, HostName(0, 1), traced), CheckFailure);
+  ::setenv("VECYCLE_TRACE", "1", 1);
+  EXPECT_THROW(scheduler.Submit(vm, HostName(0, 1), {}), CheckFailure);
+  ::unsetenv("VECYCLE_TRACE");
+  EXPECT_EQ(scheduler.QueuedCount(), 0u);
+
+  // Untraced, the same leg queues and runs.
+  scheduler.Submit(vm, HostName(0, 1), {});
+  EXPECT_EQ(scheduler.Drain(), 1u);
+  EXPECT_EQ(vm.CurrentHost(), HostName(0, 1));
+
+  if (!restore.empty()) ::setenv("VECYCLE_TRACE", restore.c_str(), 1);
 }
 
 // --- Saturating retry backoff ------------------------------------------

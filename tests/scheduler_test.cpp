@@ -184,7 +184,7 @@ std::uint64_t CappedFleetScenario(audit::SimAuditor& auditor) {
   SchedulerConfig config;
   config.max_outgoing_per_host = 1;  // tight caps force the admission
   config.max_incoming_per_host = 1;  // loop through the per-host maps
-  config.auditor = &auditor;
+  config.instruments.auditor = &auditor;
   MigrationScheduler scheduler(world.cluster, config);
 
   std::vector<std::unique_ptr<VmInstance>> vms;
@@ -225,7 +225,7 @@ TEST(Scheduler, ConcurrentSessionsConserveWireBytes) {
   SchedulerConfig config;
   config.max_outgoing_per_host = 0;  // unlimited: force full overlap
   config.max_incoming_per_host = 0;
-  config.auditor = &auditor;
+  config.instruments.auditor = &auditor;
   MigrationScheduler scheduler(world.cluster, config);
 
   std::vector<std::unique_ptr<VmInstance>> vms;
@@ -469,7 +469,7 @@ TEST(SchedulerFaults, FailedLegRetriesWithoutOvertakingItsSuccessor) {
   const auto window = injector.LinkOutages().front();
 
   SchedulerConfig config;
-  config.injector = &injector;
+  config.instruments.injector = &injector;
   config.max_attempts = 10;
   MigrationOrchestrator orchestrator(world.cluster, config);
   auto traveller = MakeVm("vm-1", MiB(16), 5);

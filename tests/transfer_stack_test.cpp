@@ -164,8 +164,8 @@ TEST(Multifd, EmitsPerChannelTimelinesAndMetrics) {
   obs::TraceRecorder tracer;
   obs::MetricsRegistry metrics;
   auto run = bed.MakeRun(memory, config);
-  run.tracer = &tracer;
-  run.metrics = &metrics;
+  run.instruments.tracer = &tracer;
+  run.instruments.metrics = &metrics;
   auto outcome = RunMigration(std::move(run));
 
   // Per-channel byte and queue-depth timelines, one labelled series per
@@ -215,7 +215,7 @@ MigrationStats RunReturnMigration(bool delta, std::uint64_t dirty_pages,
   config.audit = true;
   config.delta.enabled = delta;
   auto run = bed.MakeRun(memory, config);
-  run.source_knowledge = knowledge;
+  run.source_knowledge = std::make_shared<const DigestSet>(knowledge);
   run.departure_generations = departure_generations;
   run.departure_seeds = departure_seeds;
   auto outcome = RunMigration(std::move(run));
@@ -289,7 +289,7 @@ TEST(DeltaEncoding, RottenBaselineDegradesPerPage) {
   config.audit = true;
   config.delta.enabled = true;
   auto run = bed.MakeRun(memory, config);
-  run.source_knowledge = knowledge;
+  run.source_knowledge = std::make_shared<const DigestSet>(knowledge);
   run.departure_seeds = departure_seeds;
   auto outcome = RunMigration(std::move(run));
 
@@ -400,7 +400,7 @@ TEST(TransferStack, AllThreeCapabilitiesComposeUnderAudit) {
   config.stop_copy_threshold_pages = 128;
   auto run = bed.MakeRun(memory, config);
   run.workload = &writer;
-  run.source_knowledge = knowledge;
+  run.source_knowledge = std::make_shared<const DigestSet>(knowledge);
   run.departure_generations = departure_generations;
   run.departure_seeds = departure_seeds;
   auto outcome = RunMigration(std::move(run));
