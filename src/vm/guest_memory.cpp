@@ -61,16 +61,32 @@ std::uint64_t GuestMemory::Seed(PageId page) const {
   return seeds_[page];
 }
 
-void GuestMemory::WritePage(PageId page, std::uint64_t content_seed) {
-  CheckPage(page);
+void GuestMemory::Store(PageId page, std::uint64_t content_seed) {
   seeds_[page] = content_seed;
   ++generations_[page];
-  ++total_writes_;
   if (mode_ == ContentMode::kMaterialized) {
     MaterializePage(content_seed,
                     std::span<std::byte>(backing_.data() + page * kPageSize,
                                          kPageSize));
   }
+}
+
+void GuestMemory::WritePage(PageId page, std::uint64_t content_seed) {
+  CheckPage(page);
+  ++total_writes_;
+  Store(page, content_seed);
+}
+
+void GuestMemory::RewritePages(PageId first,
+                               std::span<const std::uint64_t> seeds,
+                               std::uint64_t stores) {
+  VEC_CHECK_MSG(first <= seeds_.size(), "page range out of range");
+  VEC_CHECK_MSG(seeds.size() <= seeds_.size() - first,
+                "page range out of range");
+  VEC_CHECK_MSG(stores >= seeds.size(),
+                "a folded interval needs a store per rewritten page");
+  for (std::size_t i = 0; i < seeds.size(); ++i) Store(first + i, seeds[i]);
+  total_writes_ += stores;
 }
 
 void GuestMemory::CopyPage(PageId from, PageId to) {

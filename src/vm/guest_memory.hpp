@@ -83,6 +83,14 @@ class GuestMemory {
   /// dirty tracking overestimate, §4.3).
   void WritePage(PageId page, std::uint64_t content_seed);
 
+  /// Rewrites the pages [first, first + seeds.size()) with `seeds`, in
+  /// page order, as the net effect of `stores` stores that hit every one
+  /// of them: each page's generation rises by exactly one, and
+  /// TotalWrites by `stores` (at least seeds.size()). Workloads call it
+  /// to fold an interval whose stores certainly covered a region.
+  void RewritePages(PageId first, std::span<const std::uint64_t> seeds,
+                    std::uint64_t stores);
+
   /// Copies content from one frame to another, as the guest kernel does
   /// when compacting or COW-duplicating memory. Dirties the destination.
   void CopyPage(PageId from, PageId to);
@@ -131,6 +139,8 @@ class GuestMemory {
 
  private:
   void CheckPage(PageId page) const;
+  /// One store's effect on the page, without counting it in TotalWrites.
+  void Store(PageId page, std::uint64_t content_seed);
 
   ContentMode mode_;
   std::vector<std::uint64_t> seeds_;

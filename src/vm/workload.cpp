@@ -14,6 +14,8 @@ namespace {
 std::uint64_t OpsFor(double rate_per_s, SimDuration dt, double& carry) {
   const double exact = rate_per_s * ToSeconds(dt) + carry;
   const double whole = std::floor(exact);
+  VEC_CHECK_MSG(whole < 0x1p64,
+                "workload operation count does not fit in 64 bits");
   carry = exact - whole;
   return static_cast<std::uint64_t>(whole);
 }
@@ -26,6 +28,33 @@ std::uint64_t FreshSeed(Xoshiro256& rng) {
     s = rng.Next() & ~(1ull << 63);
   } while (s == kZeroPageSeed);
   return s;
+}
+
+/// One store of a uniform writer: a fresh seed, then a page below
+/// `region`. That is the order the recorded baselines drew them in, kept
+/// in two statements because an argument list leaves it to the compiler.
+void StoreFreshBelow(GuestMemory& memory, Xoshiro256& rng,
+                     std::uint64_t region) {
+  const std::uint64_t seed = FreshSeed(rng);
+  memory.WritePage(rng.NextBelow(region), seed);
+}
+
+/// Applies `writes` fresh-seed stores that land uniformly on the pages
+/// [0, region). `store` performs one of them with the writer's own draws.
+/// A saturated interval (kSaturatingWritesPerPage stores per page or
+/// more) is folded: each region page is rewritten once, in page order,
+/// with a fresh seed, and TotalWrites still counts all `writes`.
+template <typename Store>
+void WriteUniformly(GuestMemory& memory, Xoshiro256& rng,
+                    std::uint64_t region, std::uint64_t writes,
+                    Store store) {
+  if (writes / region >= kSaturatingWritesPerPage) {
+    std::vector<std::uint64_t> seeds(region);
+    for (auto& seed : seeds) seed = FreshSeed(rng);
+    memory.RewritePages(0, seeds, writes);
+    return;
+  }
+  for (std::uint64_t i = 0; i < writes; ++i) store();
 }
 
 }  // namespace
@@ -48,22 +77,22 @@ void IdleWorkload::Advance(GuestMemory& memory, SimDuration dt) {
       OpsFor(Throttled(config_.write_rate_pages_per_s), dt, carry_);
   const std::uint64_t region =
       std::min(config_.hot_region_pages, memory.PageCount());
-  for (std::uint64_t i = 0; i < writes; ++i) {
-    memory.WritePage(rng_.NextBelow(region), FreshSeed(rng_));
-  }
+  WriteUniformly(memory, rng_, region, writes,
+                 [&] { StoreFreshBelow(memory, rng_, region); });
 }
 
 UniformRandomWorkload::UniformRandomWorkload(double write_rate_pages_per_s,
                                              std::uint64_t seed)
     : rate_(write_rate_pages_per_s), rng_(seed) {
-  VEC_CHECK(rate_ >= 0.0);
+  VEC_CHECK_MSG(std::isfinite(rate_) && rate_ >= 0.0,
+                "uniform write rate must be finite and >= 0");
 }
 
 void UniformRandomWorkload::Advance(GuestMemory& memory, SimDuration dt) {
   const std::uint64_t writes = OpsFor(Throttled(rate_), dt, carry_);
-  for (std::uint64_t i = 0; i < writes; ++i) {
-    memory.WritePage(rng_.NextBelow(memory.PageCount()), FreshSeed(rng_));
-  }
+  const std::uint64_t region = memory.PageCount();
+  WriteUniformly(memory, rng_, region, writes,
+                 [&] { StoreFreshBelow(memory, rng_, region); });
 }
 
 void HotspotWorkload::Config::Validate() const {
@@ -88,11 +117,18 @@ void HotspotWorkload::Advance(GuestMemory& memory, SimDuration dt) {
   const auto hot_pages = std::max<std::uint64_t>(
       1, static_cast<std::uint64_t>(config_.hot_fraction *
                                     static_cast<double>(n)));
-  for (std::uint64_t i = 0; i < writes; ++i) {
+  const auto store = [&] {
     const PageId page = rng_.NextBool(config_.hot_probability)
                             ? rng_.NextBelow(hot_pages)
                             : rng_.NextBelow(n);
     memory.WritePage(page, FreshSeed(rng_));
+  };
+  // Only an all-hot writer is uniform over one region; any cold leakage
+  // keeps every store simulated.
+  if (config_.hot_probability == 1.0) {
+    WriteUniformly(memory, rng_, hot_pages, writes, store);
+  } else {
+    for (std::uint64_t i = 0; i < writes; ++i) store();
   }
 }
 
@@ -137,7 +173,8 @@ void SequentialRamdiskWorkload::UpdateFraction(GuestMemory& memory,
 
 PageRemapWorkload::PageRemapWorkload(double swaps_per_s, std::uint64_t seed)
     : rate_(swaps_per_s), rng_(seed) {
-  VEC_CHECK(rate_ >= 0.0);
+  VEC_CHECK_MSG(std::isfinite(rate_) && rate_ >= 0.0,
+                "page-remap swap rate must be finite and >= 0");
 }
 
 void PageRemapWorkload::Advance(GuestMemory& memory, SimDuration dt) {

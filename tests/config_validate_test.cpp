@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <limits>
 #include <memory>
 #include <set>
 #include <string>
@@ -513,6 +514,54 @@ TEST(WorkloadConfigValidate, HotspotRejectsOutOfDomainSkew) {
   ExpectDistinct(messages);
   EXPECT_NO_THROW(HotspotWorkload::Config{}.Validate());
   EXPECT_THROW(HotspotWorkload({.hot_fraction = -0.5}), CheckFailure);
+}
+
+/// The CheckFailure message `action` throws; fails the test if it
+/// throws nothing or the message lacks `expected`.
+std::string ThrowMessage(const std::function<void()>& action,
+                         const std::string& expected) {
+  try {
+    action();
+  } catch (const CheckFailure& failure) {
+    const std::string what = failure.what();
+    EXPECT_NE(what.find(expected), std::string::npos)
+        << "message \"" << what << "\" does not mention \"" << expected
+        << '"';
+    return what;
+  }
+  ADD_FAILURE() << "nothing thrown; expected a failure about: "
+                << expected;
+  return {};
+}
+
+TEST(WorkloadConfigValidate, UniformAndRemapRejectNonFiniteRates) {
+  for (const double rate : {-1.0, std::numeric_limits<double>::infinity(),
+                            std::numeric_limits<double>::quiet_NaN()}) {
+    SCOPED_TRACE(rate);
+    const std::vector<std::string> messages{
+        ThrowMessage([rate] { vm::UniformRandomWorkload(rate, 1); },
+                     "uniform write rate"),
+        ThrowMessage([rate] { vm::PageRemapWorkload(rate, 1); },
+                     "page-remap swap rate")};
+    ExpectDistinct(messages);
+  }
+  EXPECT_NO_THROW(vm::UniformRandomWorkload(0.0, 1));
+  EXPECT_NO_THROW(vm::PageRemapWorkload(0.0, 1));
+}
+
+TEST(WorkloadConfigValidate, OpCountBeyond64BitsIsRejected) {
+  // Finite rates whose op count over one interval overflows uint64_t.
+  vm::GuestMemory memory(MiB(1), vm::ContentMode::kSeedOnly);
+  vm::UniformRandomWorkload uniform(1e300, 1);
+  ThrowMessage([&] { uniform.Advance(memory, Seconds(1.0)); },
+               "does not fit in 64 bits");
+  vm::PageRemapWorkload remap(1e300, 1);
+  ThrowMessage([&] { remap.Advance(memory, Seconds(1.0)); },
+               "does not fit in 64 bits");
+  vm::IdleWorkload idle({.write_rate_pages_per_s = 1e19});
+  ThrowMessage([&] { idle.Advance(memory, Seconds(2.0)); },
+               "does not fit in 64 bits");
+  EXPECT_EQ(memory.TotalWrites(), 0u);
 }
 
 TEST(PeriodicWorkloadConfigValidate, RejectsDegenerateCycles) {

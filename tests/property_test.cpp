@@ -2,6 +2,7 @@
 // inputs and swept parameter spaces, driven through parameterized gtest.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
 #include <tuple>
@@ -14,8 +15,10 @@
 #include "fingerprint/fingerprint.hpp"
 #include "migration/engine.hpp"
 #include "net/message.hpp"
+#include "per_store_writers.hpp"
 #include "sim/simulator.hpp"
 #include "storage/checkpoint.hpp"
+#include "vm/dirty_tracker.hpp"
 #include "vm/workload.hpp"
 
 namespace vecycle {
@@ -231,6 +234,96 @@ TEST_P(WorkloadRate, FragmentedAdvancesHonorTheRateExactly) {
 
 INSTANTIATE_TEST_SUITE_P(Rates, WorkloadRate,
                          ::testing::Values(0.1, 1.0, 3.7, 12.5, 100.0));
+
+// =====================================================================
+// Saturated-interval fold: the dirty set per-store simulation produces.
+// =====================================================================
+//
+// Over 100 seeds per region size, one interval of 63, 64 or 65 stores per
+// region page runs through a library writer and through its per-store
+// reference (per_store_writers.hpp) from the same profiled memory. The
+// writer rotates with the seed: idle (hot region = the region, RAM twice
+// its size), uniform (RAM = the region) and all-hot hotspot (hot half of
+// RAM = the region).
+
+/// Runs one interval of `writes` stores through `library` and
+/// `reference` from the same profiled `ram_pages`-page memory, on a region
+/// of pages [0, region).
+template <typename Reference>
+void ExpectPerStoreDirtySet(vm::Workload& library, Reference& reference,
+                            std::uint64_t region, std::uint64_t ram_pages,
+                            std::uint64_t seed, std::uint64_t writes) {
+  vm::GuestMemory initial(Pages(ram_pages), vm::ContentMode::kSeedOnly);
+  Xoshiro256 profile_rng(seed ^ 0xf01d);
+  vm::MemoryProfile{}.Apply(initial, profile_rng);
+  vm::GuestMemory ours = initial;
+  vm::GuestMemory theirs = initial;
+  library.Advance(ours, Seconds(1.0));
+  reference.Advance(theirs, Seconds(1.0));
+
+  const vm::DirtySnapshot snapshot(initial);
+  const auto dirty = snapshot.DirtyPages(ours);
+  EXPECT_EQ(dirty, snapshot.DirtyPages(theirs));
+  EXPECT_EQ(ours.TotalWrites(), initial.TotalWrites() + writes);
+  EXPECT_EQ(theirs.TotalWrites(), ours.TotalWrites());
+  EXPECT_TRUE(std::all_of(dirty.begin(), dirty.end(),
+                          [&](vm::PageId page) { return page < region; }));
+  for (vm::PageId page = region; page < ram_pages; ++page) {
+    EXPECT_EQ(ours.Seed(page), initial.Seed(page));
+  }
+  if (writes / region < vm::kSaturatingWritesPerPage) {
+    // Unsaturated: simulated store by store, draw for draw.
+    EXPECT_EQ(ours.Seeds(), theirs.Seeds());
+    EXPECT_EQ(ours.Generations(), theirs.Generations());
+    return;
+  }
+  // Saturated: folded, so every region page moved exactly once.
+  EXPECT_EQ(dirty.size(), region);
+  std::uint64_t bumped_once = 0;
+  for (vm::PageId page = 0; page < region; ++page) {
+    if (ours.Generation(page) == initial.Generation(page) + 1) ++bumped_once;
+  }
+  EXPECT_EQ(bumped_once, region);
+}
+
+class SaturationFold : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(SaturationFold, DirtySetsMatchPerStoreSimulation) {
+  const std::uint64_t region = GetParam();
+  for (std::uint64_t seed = 1; seed <= 100; ++seed) {
+    for (const std::uint64_t per_page :
+         {vm::kSaturatingWritesPerPage - 1, vm::kSaturatingWritesPerPage,
+          vm::kSaturatingWritesPerPage + 1}) {
+      const std::uint64_t writes = per_page * region;
+      const auto rate = static_cast<double>(writes);  // over one second
+      SCOPED_TRACE(::testing::Message()
+                   << "seed " << seed << " per_page " << per_page);
+      vm::reference::UniformWriter uniform(rate, region, seed);
+      if (seed % 3 == 0) {
+        vm::IdleWorkload idle({.write_rate_pages_per_s = rate,
+                               .hot_region_pages = region,
+                               .seed = seed});
+        ExpectPerStoreDirtySet(idle, uniform, region, 2 * region, seed,
+                               writes);
+      } else if (seed % 3 == 1) {
+        vm::UniformRandomWorkload library(rate, seed);
+        ExpectPerStoreDirtySet(library, uniform, region, region, seed,
+                               writes);
+      } else {
+        vm::HotspotWorkload hotspot({.write_rate_pages_per_s = rate,
+                                     .hot_fraction = 0.5,
+                                     .hot_probability = 1.0,
+                                     .seed = seed});
+        vm::reference::HotspotWriter reference(rate, 0.5, 1.0, seed);
+        ExpectPerStoreDirtySet(hotspot, reference, region, 2 * region, seed,
+                               writes);
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Regions, SaturationFold,
+                         ::testing::Values(1, 7, 64, 256, 1024));
 
 // =====================================================================
 // Similarity metric properties.

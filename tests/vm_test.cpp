@@ -2,11 +2,14 @@
 // counters, dirty snapshots, memory profiles, and workload mutators.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <set>
+#include <vector>
 
 #include "common/check.hpp"
 #include "digest/hasher.hpp"
+#include "per_store_writers.hpp"
 #include "vm/dirty_tracker.hpp"
 #include "vm/guest_memory.hpp"
 #include "vm/workload.hpp"
@@ -172,6 +175,23 @@ TEST(GuestMemory, SetGenerationsAdoptsVector) {
   memory.SetGenerations(generations);
   EXPECT_EQ(memory.Generation(0), 9u);
   EXPECT_THROW(memory.SetGenerations({1, 2, 3}), CheckFailure);
+}
+
+TEST(GuestMemory, RewritePagesBumpsEachGenerationOnceAndCountsStores) {
+  GuestMemory memory(Pages(8), ContentMode::kSeedOnly);
+  const std::vector<std::uint64_t> seeds{11, 12, 13};
+  memory.RewritePages(2, seeds, /*stores=*/1000);
+  for (PageId page = 0; page < memory.PageCount(); ++page) {
+    const bool rewritten = page >= 2 && page < 5;
+    EXPECT_EQ(memory.Generation(page), rewritten ? 1u : 0u) << page;
+    EXPECT_EQ(memory.Seed(page), rewritten ? seeds[page - 2] : kZeroPageSeed);
+  }
+  EXPECT_EQ(memory.TotalWrites(), 1000u);
+  // The range must fit, and every rewritten page needs a store.
+  EXPECT_THROW(memory.RewritePages(6, seeds, 3), CheckFailure);
+  EXPECT_THROW(memory.RewritePages(9, {}, 0), CheckFailure);
+  EXPECT_THROW(memory.RewritePages(0, seeds, 2), CheckFailure);
+  EXPECT_EQ(memory.TotalWrites(), 1000u);
 }
 
 // --- Digests follow content. ---
@@ -422,6 +442,166 @@ TEST(PageRemapWorkload, PreservesContentMultiset) {
   EXPECT_EQ(before, after);
   // ...but pages were dirtied (the Fig. 5 dirty-tracking overestimate).
   EXPECT_GT(memory.TotalWrites(), memory.PageCount());
+}
+
+// --- Saturated-interval fold. ---
+//
+// Each workload is checked against its per-store reference writer
+// (per_store_writers.hpp). Below kSaturatingWritesPerPage stores per
+// region page the two must agree exactly; at or above it the library
+// rewrites each region page once, so every region generation rises by
+// exactly one — a per-store run would raise them by ~64 each.
+
+/// Runs `library` and `reference` over the same intervals from the same
+/// profiled memory and expects identical seeds, generations and writes.
+template <typename Reference>
+void ExpectSameStores(Workload& library, Reference& reference, Bytes ram,
+                      const std::vector<double>& interval_seconds) {
+  GuestMemory ours(ram, ContentMode::kSeedOnly);
+  Xoshiro256 profile_rng(77);
+  MemoryProfile{}.Apply(ours, profile_rng);
+  GuestMemory theirs = ours;
+  for (const double seconds : interval_seconds) {
+    library.Advance(ours, Seconds(seconds));
+    reference.Advance(theirs, Seconds(seconds));
+  }
+  EXPECT_EQ(ours.Seeds(), theirs.Seeds());
+  EXPECT_EQ(ours.Generations(), theirs.Generations());
+  EXPECT_EQ(ours.TotalWrites(), theirs.TotalWrites());
+  EXPECT_GT(ours.TotalWrites(), ours.PageCount());
+}
+
+// Fragmented intervals, each below 64 stores per region page; the
+// fractional carry moves between them.
+const std::vector<double> kUnsaturatedIntervals{0.3, 1.7, 5.0, 12.25, 0.01};
+
+TEST(WorkloadFold, IdleBelowThresholdMatchesPerStoreWriter) {
+  // 500 pages/s over 128 pages: at most 6125 stores per interval < 8192.
+  IdleWorkload library({.write_rate_pages_per_s = 500.0,
+                        .hot_region_pages = 128,
+                        .seed = 3});
+  reference::UniformWriter reference(500.0, 128, 3);
+  ExpectSameStores(library, reference, MiB(4), kUnsaturatedIntervals);
+}
+
+TEST(WorkloadFold, UniformBelowThresholdMatchesPerStoreWriter) {
+  // 3000 pages/s over all 1024 pages: at most 36750 stores < 65536.
+  UniformRandomWorkload library(3000.0, 4);
+  reference::UniformWriter reference(3000.0, 1024, 4);
+  ExpectSameStores(library, reference, MiB(4), kUnsaturatedIntervals);
+}
+
+TEST(WorkloadFold, AllHotHotspotBelowThresholdMatchesPerStoreWriter) {
+  // 1000 pages/s over a 256-page hot region: at most 12250 < 16384.
+  HotspotWorkload library({.write_rate_pages_per_s = 1000.0,
+                           .hot_fraction = 0.25,
+                           .hot_probability = 1.0,
+                           .seed = 5});
+  reference::HotspotWriter reference(1000.0, 0.25, 1.0, 5);
+  ExpectSameStores(library, reference, MiB(4), kUnsaturatedIntervals);
+}
+
+TEST(WorkloadFold, MixedHotspotNeverFolds) {
+  // Cold leakage makes the stores non-uniform, so even a 100 s interval
+  // (390 stores per hot page) is simulated store by store.
+  HotspotWorkload library({.write_rate_pages_per_s = 1000.0,
+                           .hot_fraction = 0.25,
+                           .hot_probability = 0.9,
+                           .seed = 6});
+  reference::HotspotWriter reference(1000.0, 0.25, 0.9, 6);
+  std::vector<double> intervals = kUnsaturatedIntervals;
+  intervals.push_back(100.0);
+  ExpectSameStores(library, reference, MiB(4), intervals);
+}
+
+/// Expects `memory` to show one folded rewrite of pages [0, region) since
+/// `before`: each region page carries a new fresh seed and a generation
+/// exactly one higher, every other page is untouched, and TotalWrites
+/// rose by `writes`.
+void ExpectFolded(const GuestMemory& before, const GuestMemory& memory,
+                  std::uint64_t region, std::uint64_t writes) {
+  for (PageId page = 0; page < memory.PageCount(); ++page) {
+    if (page < region) {
+      EXPECT_EQ(memory.Generation(page), before.Generation(page) + 1) << page;
+      EXPECT_NE(memory.Seed(page), before.Seed(page)) << page;
+      EXPECT_NE(memory.Seed(page), kZeroPageSeed) << page;
+      EXPECT_EQ(memory.Seed(page) >> 63, 0u) << page;
+    } else {
+      EXPECT_EQ(memory.Generation(page), before.Generation(page)) << page;
+      EXPECT_EQ(memory.Seed(page), before.Seed(page)) << page;
+    }
+  }
+  EXPECT_EQ(memory.TotalWrites(), before.TotalWrites() + writes);
+}
+
+TEST(WorkloadFold, MaterializedFoldExpandsEverySeed) {
+  GuestMemory memory(MiB(1), ContentMode::kMaterialized);  // 256 pages
+  const GuestMemory before = memory;
+  IdleWorkload workload({.write_rate_pages_per_s = 64.0 * 64.0,
+                         .hot_region_pages = 64,
+                         .seed = 7});
+  workload.Advance(memory, Seconds(1.0));
+  ExpectFolded(before, memory, 64, 64 * 64);
+  std::array<std::byte, kPageSize> expected{};
+  for (PageId page = 0; page < memory.PageCount(); ++page) {
+    MaterializePage(memory.Seed(page), expected);
+    const auto bytes = memory.PageBytes(page);
+    EXPECT_TRUE(std::equal(bytes.begin(), bytes.end(), expected.begin()))
+        << page;
+  }
+}
+
+TEST(WorkloadFold, ThrottledIntervalsFoldOnTheThrottledCount) {
+  // 16384 pages/s nominal over 128 pages; at half speed a 1 s interval
+  // makes exactly 64 stores per page and folds.
+  GuestMemory memory(MiB(1), ContentMode::kSeedOnly);
+  IdleWorkload workload({.write_rate_pages_per_s = 16384.0,
+                         .hot_region_pages = 128,
+                         .seed = 8});
+  workload.SetThrottle(0.5);
+  GuestMemory before = memory;
+  workload.Advance(memory, Seconds(1.0));
+  ExpectFolded(before, memory, 128, 8192);
+
+  // Just under the threshold at half speed, every store is simulated.
+  IdleWorkload slow({.write_rate_pages_per_s = 16128.0,
+                     .hot_region_pages = 128,
+                     .seed = 9});
+  slow.SetThrottle(0.5);
+  reference::UniformWriter reference(8064.0, 128, 9);
+  ExpectSameStores(slow, reference, MiB(1), {1.0});
+}
+
+TEST(WorkloadFold, DayLongPeriodicAdvanceFoldsEachPhase) {
+  // One 24 h call: a 12 h busy phase (all-hot hotspot over the front
+  // quarter of RAM) then a 12 h quiet phase (idle over the first 64
+  // pages, nested inside it). Each phase is one saturated interval.
+  GuestMemory memory(MiB(4), ContentMode::kSeedOnly);  // 1024 pages
+  Xoshiro256 profile_rng(10);
+  MemoryProfile{}.Apply(memory, profile_rng);
+  const GuestMemory before = memory;
+  PeriodicWorkload::Config config;
+  config.period = Hours(24.0);
+  config.busy_fraction = 0.5;
+  config.busy = {.write_rate_pages_per_s = 1000.0,
+                 .hot_fraction = 0.25,
+                 .hot_probability = 1.0,
+                 .seed = 11};
+  config.quiet = {.write_rate_pages_per_s = 0.5,
+                  .hot_region_pages = 64,
+                  .seed = 12};
+  PeriodicWorkload workload(config);
+  workload.Advance(memory, Hours(24.0));
+  EXPECT_TRUE(workload.InBusyPhase());
+
+  for (PageId page = 0; page < memory.PageCount(); ++page) {
+    const std::uint64_t folds = (page < 256 ? 1 : 0) + (page < 64 ? 1 : 0);
+    EXPECT_EQ(memory.Generation(page), before.Generation(page) + folds)
+        << page;
+    EXPECT_EQ(memory.Seed(page) == before.Seed(page), folds == 0) << page;
+  }
+  EXPECT_EQ(memory.TotalWrites(),
+            before.TotalWrites() + 1000u * 43200u + 21600u);
 }
 
 TEST(CompositeWorkload, RunsAllParts) {
