@@ -29,10 +29,13 @@ migration::MigrationStats Run(sim::LinkConfig link,
   config.strategy = migration::Strategy::kHashes;
   config.hash_exchange = mode;
   config.query_window = window;
-  // Forget the ping-pong knowledge so the exchange actually runs: the
-  // cold-source path is what §3.2 discusses.
-  vm.RememberPagesAt("A", {});
-  return world.orchestrator.Migrate(vm, "A", config);
+  // Drop the knowledge A's store would give the source, so the exchange
+  // actually runs: the cold-source path is what §3.2 discusses.
+  auto run = core::BuildMigrationRun(world.cluster, vm, "A", config);
+  run.source_knowledge.reset();
+  auto outcome = migration::RunMigration(std::move(run));
+  core::ApplyArrival(vm, "A", outcome);
+  return outcome.stats;
 }
 
 }  // namespace

@@ -6,9 +6,10 @@
 //   * after the copy completes, the *source* writes a checkpoint of the
 //     departed VM to its local disk (outside the measured migration time,
 //     as in §4.4),
-//   * the VM remembers the digest set it left behind (so a future return
-//     migration needs no bulk hash exchange) and its generation counters
-//     at departure (Miyakodori state),
+//   * that checkpoint is the record of what the VM left behind: a future
+//     return migration reads its checksums (so it needs no bulk hash
+//     exchange) and its generation counters at departure (Miyakodori
+//     state) from the store,
 //   * the destination bootstraps from its own stale checkpoint when it has
 //     one and the strategy uses it.
 #pragma once

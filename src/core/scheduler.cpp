@@ -60,8 +60,8 @@ migration::MigrationRun BuildMigrationRun(
   run.destination = {&dest_host.Cpu(), &dest_host.Store()};
   run.vm_id = vm.Id();
   run.config = config;
-  run.source_knowledge = vm.KnownPageSetAt(to);
-  // Dirty-tracking generations and the delta baseline resolve through the
+  // Dirty-tracking generations, the delta baseline and the source's
+  // knowledge of the destination's checksums all resolve through the
   // destination's checkpoint store — the system of record for what the VM
   // left there (empty when the checkpoint was evicted or never written).
   // In PDES mode that store belongs to the destination shard, but
@@ -69,6 +69,20 @@ migration::MigrationRun BuildMigrationRun(
   // is race-free.
   run.departure_generations = dest_host.Store().DepartureGenerations(vm.Id());
   run.departure_seeds = dest_host.Store().BaselineSeeds(vm.Id());
+  const vm::GuestMemory& memory = vm.Memory();
+  if (migration::UsesContentHashes(config.strategy) &&
+      run.departure_seeds.size() == memory.PageCount()) {
+    // The checkpoint's pages named as the source names its own: the
+    // ping-pong fast path probes them without the §3.2 bulk exchange.
+    std::vector<Digest128> digests;
+    digests.reserve(run.departure_seeds.size());
+    for (const std::uint64_t seed : run.departure_seeds) {
+      digests.push_back(
+          vm::ContentDigest(memory.Mode(), config.algorithm, seed));
+    }
+    run.source_knowledge =
+        std::make_shared<const DigestSet>(std::move(digests));
+  }
   // Checkpoint write-back happens inside the session (booked at the
   // destination completion time, not counted in migration time — §4.4)
   // so a session-private fault injector can still rot the saved image.
@@ -78,7 +92,6 @@ migration::MigrationRun BuildMigrationRun(
 
 void ApplyArrival(VmInstance& vm, const HostId& to,
                   migration::MigrationOutcome& outcome) {
-  vm.RememberPagesAt(vm.CurrentHost(), std::move(outcome.incoming_digests));
   vm.AdoptMemory(std::move(outcome.dest_memory));
   vm.SetCurrentHost(to);
 }

@@ -9,9 +9,8 @@
 // moment capacity frees up — all inside a single Drain() of the event
 // loop. Completion performs the same §3/§4.4 bookkeeping as the
 // synchronous MigrationOrchestrator::Migrate (checkpoint write-back at
-// the source, digest-set and generation memory, VM relocation), so a
-// scheduler that admits one session at a time reproduces the synchronous
-// engine's results exactly.
+// the source, VM relocation), so a scheduler that admits one session at
+// a time reproduces the synchronous engine's results exactly.
 //
 // Concurrent sessions from one host to one destination form a gang
 // (VMFlock [4]): they share a sender-side dedup cache, so page content
@@ -81,17 +80,17 @@ class MigrationAborted : public CheckFailure {
 /// The MigrationRun of one leg of `vm`, from its current host to `to`,
 /// on the cluster's simulator — the wiring MigrationOrchestrator::Migrate
 /// and the scheduler share: the path, both hosts' CPUs and stores, what
-/// the VM knows about `to`, what `to`'s store holds of it (dirty-tracking
-/// generations, delta baseline), and the in-session checkpoint
+/// `to`'s store holds of the VM (dirty-tracking generations, delta
+/// baseline and, for content-hash strategies, the checksum set the source
+/// probes instead of a §3.2 bulk exchange), and the in-session checkpoint
 /// write-back at the source. Session id, instruments, PDES routing and
 /// lifecycle hooks are left to the caller.
 [[nodiscard]] migration::MigrationRun BuildMigrationRun(
     Cluster& cluster, VmInstance& vm, const HostId& to,
     const migration::MigrationConfig& config);
 
-/// Arrival bookkeeping of a completed leg to `to`: the VM remembers the
-/// digest set it left at its current host, adopts the memory
-/// reconstructed at the destination (both moved out of `outcome`), and
+/// Arrival bookkeeping of a completed leg to `to`: the VM adopts the
+/// memory reconstructed at the destination (moved out of `outcome`) and
 /// now runs on `to`.
 void ApplyArrival(VmInstance& vm, const HostId& to,
                   migration::MigrationOutcome& outcome);

@@ -1,22 +1,16 @@
-// A virtual machine plus the VeCycle metadata that travels with it.
+// A virtual machine: its id, guest memory, workload and current host.
 //
-// Beyond guest memory and its workload, the VM carries what its hypervisor
-// learned at each previously visited host: the checksum set of the
-// checkpoint it left behind (§3.2's incoming-page tracking, consumed on a
-// return migration to skip the bulk hash exchange). Departure-time
-// generation counters and delta baselines are *not* carried on the VM —
-// they resolve through the destination host's CheckpointStore, the system
-// of record for what the VM actually left there.
+// The VM carries no VeCycle metadata of its own. What it left at each
+// previously visited host — the checkpoint whose checksums a return
+// migration probes instead of the §3.2 bulk exchange, its departure-time
+// generation counters and delta baseline — resolves through that host's
+// CheckpointStore, the system of record (core::BuildMigrationRun).
 #pragma once
 
-#include <map>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "core/host.hpp"
-#include "digest/digest.hpp"
-#include "digest/digest_set.hpp"
 #include "vm/guest_memory.hpp"
 #include "vm/workload.hpp"
 
@@ -46,34 +40,11 @@ class VmInstance {
     memory_ = std::move(memory);
   }
 
-  /// Digest set of the checkpoint left behind at `host`; null if never
-  /// visited. The set is built once in RememberPagesAt, so every later
-  /// migration toward `host` probes it without re-sorting or re-hashing
-  /// anything.
-  [[nodiscard]] std::shared_ptr<const DigestSet> KnownPageSetAt(
-      const HostId& host) const {
-    const auto it = known_pages_.find(host);
-    return it == known_pages_.end() ? nullptr : it->second;
-  }
-  void RememberPagesAt(const HostId& host, std::vector<Digest128> digests) {
-    known_pages_[host] =
-        std::make_shared<const DigestSet>(std::move(digests));
-  }
-
-  [[nodiscard]] std::size_t VisitedHostCount() const {
-    return known_pages_.size();
-  }
-
  private:
   std::string id_;
   std::unique_ptr<vm::GuestMemory> memory_;
   std::unique_ptr<vm::Workload> workload_;
   HostId current_host_;
-  /// Keyed by sorted HostId, not hashed: a VM visits a handful of hosts
-  /// (the paper's whole premise), so ordered lookups cost nothing, and
-  /// any future iteration (fleet placement policies walking a VM's
-  /// checkpoint affinity) is deterministic by construction.
-  std::map<HostId, std::shared_ptr<const DigestSet>> known_pages_;
 };
 
 }  // namespace vecycle::core

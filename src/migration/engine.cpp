@@ -302,8 +302,8 @@ struct MigrationSession::Impl {
     }
     if (!dest_has_checkpoint) {
       // Checksum-only records can only be satisfied from a checkpoint;
-      // any stale knowledge the VM carries about this destination is
-      // useless (e.g. the checkpoint was evicted or the VM was resized).
+      // any knowledge the caller supplied about this destination is
+      // stale (e.g. the checkpoint was evicted or the VM was resized).
       run.source_knowledge.reset();
     }
     if (!dest_has_checkpoint || !run.config.delta.enabled ||
@@ -529,8 +529,9 @@ struct MigrationSession::Impl {
                   "audit: backward wire bytes != sum of message sizes");
     // End-state integrity: the reconstructed memory digests equal to the
     // source at pause time.
-    VEC_CHECK_MSG(outcome.dest_memory->ContentFingerprint() ==
-                      run.source_memory->ContentFingerprint(),
+    const std::uint64_t memory_digest =
+        outcome.dest_memory->ContentFingerprint();
+    VEC_CHECK_MSG(memory_digest == run.source_memory->ContentFingerprint(),
                   "audit: destination memory digest != source digest");
 
     // Fold the outcome into the auditor's fingerprint so the determinism
@@ -542,8 +543,7 @@ struct MigrationSession::Impl {
                       static_cast<std::uint64_t>(stats.total_time.count()));
     auditor->OnScalar("downtime_ns",
                       static_cast<std::uint64_t>(stats.downtime.count()));
-    auditor->OnScalar("memory_digest",
-                      outcome.dest_memory->ContentFingerprint());
+    auditor->OnScalar("memory_digest", memory_digest);
     auditor->OnScalar("fallback_pages", stats.fallback_pages);
     auditor->OnScalar("disk_read_errors", stats.disk_read_errors);
     auditor->OnScalar("retries", stats.retries);
@@ -593,22 +593,6 @@ struct MigrationSession::Impl {
     // Generation counters travel with the VM.
     outcome.dest_memory = destination->TakeMemory();
     outcome.dest_memory->SetGenerations(run.source_memory->Generations());
-
-    // What the destination now knows: the digest set of the arrived
-    // state — §3.2's incoming-page tracking, the source_knowledge of a
-    // future return migration.
-    auto& dest_memory = *outcome.dest_memory;
-    outcome.incoming_digests.reserve(dest_memory.PageCount());
-    for (vm::PageId page = 0; page < dest_memory.PageCount(); ++page) {
-      outcome.incoming_digests.push_back(
-          dest_memory.PageDigest(page, run.config.algorithm));
-    }
-    std::sort(outcome.incoming_digests.begin(),
-              outcome.incoming_digests.end());
-    outcome.incoming_digests.erase(
-        std::unique(outcome.incoming_digests.begin(),
-                    outcome.incoming_digests.end()),
-        outcome.incoming_digests.end());
 
     if (instruments.auditor != nullptr) AuditOutcome(outcome);
     if (obs::TraceRecorder* tracer = instruments.tracer; tracer != nullptr) {

@@ -98,11 +98,10 @@ struct MigrationRun {
   MigrationConfig config;
 
   /// Digest set the source already knows to exist at the destination
-  /// (ping-pong fast path, learned during the previous incoming
-  /// migration). Null or empty + content-hash strategy + checkpoint at
-  /// the destination triggers the §3.2 bulk exchange instead. VmInstance
-  /// builds the set once per remembered host, so repeat migrations probe
-  /// it with zero rebuild cost.
+  /// (ping-pong fast path: core::BuildMigrationRun names the pages of the
+  /// checkpoint the destination's store holds for this VM). Null or
+  /// empty + content-hash strategy + checkpoint at the destination
+  /// triggers the §3.2 bulk exchange instead.
   std::shared_ptr<const DigestSet> source_knowledge;
 
   /// Generation counters at the moment the VM last left the destination
@@ -155,9 +154,6 @@ struct MigrationOutcome {
   /// Reconstructed VM memory at the destination (content-identical to the
   /// source at pause time; generation counters carried over).
   std::unique_ptr<vm::GuestMemory> dest_memory;
-  /// What the destination learned during the migration: the digest set of
-  /// the VM's arrived state — the source_knowledge for the return trip.
-  std::vector<Digest128> incoming_digests;
   SimTime completed_at = kSimEpoch;
 };
 

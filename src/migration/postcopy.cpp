@@ -171,8 +171,8 @@ class PostCopyEngine {
                       PageCount(),
                   "audit: post-copy residency conservation violated "
                   "(checkpoint + prefetch + fault != page count)");
-    VEC_CHECK_MSG(dest_memory_->ContentFingerprint() ==
-                      source.ContentFingerprint(),
+    const std::uint64_t memory_digest = dest_memory_->ContentFingerprint();
+    VEC_CHECK_MSG(memory_digest == source.ContentFingerprint(),
                   "audit: post-copy destination digest != source digest");
     audit::SimAuditor& auditor = *instruments_.auditor;
     auditor.OnScalar("pc_remote_faults", stats_.remote_faults);
@@ -180,7 +180,7 @@ class PostCopyEngine {
     auditor.OnScalar(
         "pc_residency_ns",
         static_cast<std::uint64_t>(stats_.time_to_residency.count()));
-    auditor.OnScalar("pc_memory_digest", dest_memory_->ContentFingerprint());
+    auditor.OnScalar("pc_memory_digest", memory_digest);
   }
 
   void MarkResident(vm::PageId page) {

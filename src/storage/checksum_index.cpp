@@ -9,20 +9,13 @@ namespace vecycle::storage {
 ChecksumIndex ChecksumIndex::Build(const Checkpoint& checkpoint,
                                    vm::ContentMode mode,
                                    DigestAlgorithm algorithm) {
-  std::vector<std::pair<Digest128, vm::PageId>> entries;
-  entries.reserve(checkpoint.PageCount());
-  for (vm::PageId page = 0; page < checkpoint.PageCount(); ++page) {
-    entries.emplace_back(checkpoint.DigestAt(page, mode, algorithm), page);
-  }
-  return FromEntries(std::move(entries), algorithm);
-}
-
-ChecksumIndex ChecksumIndex::FromEntries(
-    std::vector<std::pair<Digest128, vm::PageId>> entries,
-    DigestAlgorithm algorithm) {
   ChecksumIndex index;
   index.algorithm_ = algorithm;
-  index.entries_ = std::move(entries);
+  index.entries_.reserve(checkpoint.PageCount());
+  for (vm::PageId page = 0; page < checkpoint.PageCount(); ++page) {
+    index.entries_.emplace_back(checkpoint.DigestAt(page, mode, algorithm),
+                                page);
+  }
   std::sort(index.entries_.begin(), index.entries_.end());
   return index;
 }

@@ -27,12 +27,6 @@ class ChecksumIndex {
   static ChecksumIndex Build(const Checkpoint& checkpoint,
                              vm::ContentMode mode, DigestAlgorithm algorithm);
 
-  /// Builds from explicit (digest, page) pairs — used by the source to
-  /// remember the page set it saw during a previous incoming migration.
-  static ChecksumIndex FromEntries(
-      std::vector<std::pair<Digest128, vm::PageId>> entries,
-      DigestAlgorithm algorithm);
-
   /// Binary-searches for `digest`; returns the page/file-block offset of
   /// one checkpoint page with that content, or nullopt.
   [[nodiscard]] std::optional<vm::PageId> Lookup(

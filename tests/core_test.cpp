@@ -1,7 +1,8 @@
 // The top-level VeCycle API: cluster topology, VM deployment, and the
-// orchestrated migrate/checkpoint/remember cycle — including the paper's
+// orchestrated migrate/checkpoint/recycle cycle — including the paper's
 // headline behaviour, the ping-pong pattern where return migrations get
-// dramatically cheaper.
+// dramatically cheaper — and the return-leg knowledge BuildMigrationRun
+// derives from the destination's checkpoint store.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -11,6 +12,7 @@
 #include "core/cluster.hpp"
 #include "core/orchestrator.hpp"
 #include "core/vm_instance.hpp"
+#include "storage/checksum_index.hpp"
 #include "vm/workload.hpp"
 
 namespace vecycle::core {
@@ -111,7 +113,7 @@ TEST(Orchestrator, MigrateToCurrentHostThrows) {
                CheckFailure);
 }
 
-// --- The migrate/checkpoint/remember cycle. ---
+// --- The migrate/checkpoint/recycle cycle. ---
 
 TEST(Orchestrator, MigrationMovesVmAndLeavesCheckpoint) {
   World world;
@@ -126,15 +128,13 @@ TEST(Orchestrator, MigrationMovesVmAndLeavesCheckpoint) {
   // The source kept a checkpoint of the departed VM.
   EXPECT_TRUE(world.cluster.GetHost("A").Store().Has("vm-1"));
   EXPECT_FALSE(world.cluster.GetHost("B").Store().Has("vm-1"));
-  // The VM remembers what it left behind; the source store is the system
-  // of record for the departure-time generations and delta baseline.
-  ASSERT_NE(vm.KnownPageSetAt("A"), nullptr);
-  EXPECT_FALSE(vm.KnownPageSetAt("A")->Empty());
+  // The source store is the system of record for what the VM left
+  // behind: the departure-time generations and the delta baseline (and
+  // the checksums a return leg probes, see ReturnKnowledge below).
   EXPECT_EQ(world.cluster.GetHost("A").Store().DepartureGenerations("vm-1"),
             before);
   EXPECT_EQ(world.cluster.GetHost("A").Store().BaselineSeeds("vm-1"),
             world.cluster.GetHost("A").Store().Peek("vm-1")->Seeds());
-  EXPECT_EQ(vm.VisitedHostCount(), 1u);
 }
 
 TEST(Orchestrator, PingPongReturnIsCheap) {
@@ -175,7 +175,9 @@ TEST(Orchestrator, RepeatedPingPongKeepsWorking) {
     EXPECT_EQ(vm.CurrentHost(), to);
     EXPECT_GT(stats.rounds, 0u);
   }
-  EXPECT_EQ(vm.VisitedHostCount(), 2u);
+  // Both hosts hold what the VM last left there.
+  EXPECT_TRUE(world.cluster.GetHost("A").Store().Has("vm-1"));
+  EXPECT_TRUE(world.cluster.GetHost("B").Store().Has("vm-1"));
 }
 
 TEST(Orchestrator, CheckpointReflectsDepartureState) {
@@ -193,9 +195,9 @@ TEST(Orchestrator, CheckpointReflectsDepartureState) {
 }
 
 TEST(Orchestrator, ThreeHostCircuitUsesBulkExchangeOnNewPaths) {
-  // A VM visiting a third host has knowledge of neither — but once a
-  // checkpoint exists there, a later return uses it after a bulk
-  // exchange... unless the VM remembers, which it does after departing.
+  // Legs to hosts the VM never left hold no checkpoint and need no
+  // exchange; a return to a host it left finds its checkpoint and names
+  // its pages from that host's store, so it needs no exchange either.
   sim::Simulator simulator;
   Cluster cluster(simulator);
   MigrationOrchestrator orchestrator(cluster);
@@ -213,11 +215,29 @@ TEST(Orchestrator, ThreeHostCircuitUsesBulkExchangeOnNewPaths) {
   EXPECT_EQ(to_b.bulk_exchange_bytes.count, 0u);  // no checkpoint at B
   EXPECT_EQ(to_c.bulk_exchange_bytes.count, 0u);  // none at C either
 
-  // Return to A: checkpoint exists, VM remembers its content (learned
-  // during the outgoing migration) — fast path, no bulk exchange.
+  // Return to A: the checkpoint exists and A's store names its content —
+  // fast path, no bulk exchange.
   const auto back_a = orchestrator.Migrate(vm, "A", VeCycleConfig());
   EXPECT_EQ(back_a.bulk_exchange_bytes.count, 0u);
   EXPECT_GT(back_a.pages_sent_checksum, 0u);
+}
+
+TEST(Orchestrator, ReturnUnderAnotherAlgorithmStillRecycles) {
+  // The outbound leg runs under MD5, the return under SHA-1. The return
+  // must name A's checkpoint under its own algorithm: probing foreign
+  // digests would find nothing, and with knowledge in hand no bulk
+  // exchange would run either — every page would travel in full.
+  World world;
+  auto vm = MakeVm(MiB(8));
+  world.orchestrator.Deploy(vm, "A");
+  const auto out = world.orchestrator.Migrate(vm, "B", VeCycleConfig());
+
+  auto sha1 = VeCycleConfig();
+  sha1.algorithm = DigestAlgorithm::kSha1;
+  const auto back = world.orchestrator.Migrate(vm, "A", sha1);
+  EXPECT_EQ(back.bulk_exchange_bytes.count, 0u);
+  EXPECT_GT(back.pages_sent_checksum, vm.Memory().PageCount() / 2);
+  EXPECT_LT(back.tx_bytes.count * 10, out.tx_bytes.count);
 }
 
 TEST(Orchestrator, MiyakodoriStrategyWorksThroughOrchestrator) {
@@ -239,7 +259,7 @@ TEST(Orchestrator, MiyakodoriStrategyWorksThroughOrchestrator) {
 TEST(Orchestrator, ReturnAfterCheckpointEvictionDegradesGracefully) {
   // A consolidation host with a tight retention quota: VM-1's checkpoint
   // is evicted by VM-2's before VM-1 returns. The return migration must
-  // fall back to a cold transfer, not fail on the VM's stale knowledge.
+  // fall back to a cold transfer, not fail for want of the checkpoint.
   sim::Simulator simulator;
   Cluster cluster(simulator);
   MigrationOrchestrator orchestrator(cluster);
@@ -264,6 +284,10 @@ TEST(Orchestrator, ReturnAfterCheckpointEvictionDegradesGracefully) {
   EXPECT_FALSE(cluster.GetHost("A").Store().Has("vm-1"));
   EXPECT_TRUE(cluster.GetHost("A").Store().Has("vm-2"));
   EXPECT_EQ(cluster.GetHost("A").Store().Evictions(), 1u);
+  // With the checkpoint gone, the source knows nothing of A.
+  EXPECT_EQ(BuildMigrationRun(cluster, vm_one, "A", VeCycleConfig())
+                .source_knowledge,
+            nullptr);
 
   // vm-1 returns: cold path, still correct.
   const auto back = orchestrator.Migrate(vm_one, "A", VeCycleConfig());
@@ -299,6 +323,119 @@ TEST(Orchestrator, WanMigrationIsSlowerThanLan) {
   const auto wan = orchestrator.Migrate(vm_wan, "C", VeCycleConfig());
 
   EXPECT_GT(ToSeconds(wan.total_time), 3.0 * ToSeconds(lan.total_time));
+}
+
+// --- Return-leg knowledge, derived from the destination's store. ---
+
+struct KnowledgeCase {
+  vm::ContentMode mode;
+  bool chunking;
+};
+
+class ReturnKnowledge : public ::testing::TestWithParam<KnowledgeCase> {};
+
+TEST_P(ReturnKnowledge, NamesEveryPageOfTheCheckpointLeftBehind) {
+  const auto param = GetParam();
+  sim::Simulator simulator;
+  Cluster cluster(simulator);
+  MigrationOrchestrator orchestrator(cluster);
+  for (const char* id : {"A", "B"}) {
+    HostConfig host{id, sim::DiskConfig::Hdd(), {}, {}, {}};
+    host.store.chunking = param.chunking;
+    host.store.chunk_pages = 8;
+    cluster.AddHost(host);
+  }
+  cluster.Connect("A", "B", sim::LinkConfig::Lan());
+
+  VmInstance vm("vm-1", MiB(4), param.mode);
+  Xoshiro256 rng(17);
+  vm::MemoryProfile{}.Apply(vm.Memory(), rng);
+  orchestrator.Deploy(vm, "A");
+  orchestrator.Migrate(vm, "B", VeCycleConfig());
+  // The VM runs on at B, so its memory drifts from what it left at A.
+  for (vm::PageId p = 0; p < 64; ++p) {
+    vm.Memory().WritePage(p, (std::uint64_t{1} << 40) + p);
+  }
+
+  // The return leg digests under its own algorithm, not the outbound's.
+  auto config = VeCycleConfig();
+  config.algorithm = DigestAlgorithm::kSha1;
+  const auto run = BuildMigrationRun(cluster, vm, "A", config);
+  ASSERT_NE(run.source_knowledge, nullptr);
+  const auto* checkpoint = cluster.GetHost("A").Store().Peek("vm-1");
+  ASSERT_NE(checkpoint, nullptr);
+  for (vm::PageId p = 0; p < checkpoint->PageCount(); ++p) {
+    ASSERT_TRUE(run.source_knowledge->Contains(
+        checkpoint->DigestAt(p, param.mode, config.algorithm)))
+        << "page " << p;
+  }
+  // Nothing else: exactly the checkpoint's distinct digests.
+  EXPECT_EQ(run.source_knowledge->Size(),
+            storage::ChecksumIndex::Build(*checkpoint, param.mode,
+                                          config.algorithm)
+                .DistinctDigests());
+  EXPECT_FALSE(run.source_knowledge->Contains(
+      vm.Memory().PageDigest(0, config.algorithm)));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ModesAndStores, ReturnKnowledge,
+    ::testing::Values(KnowledgeCase{vm::ContentMode::kSeedOnly, false},
+                      KnowledgeCase{vm::ContentMode::kSeedOnly, true},
+                      KnowledgeCase{vm::ContentMode::kMaterialized, false},
+                      KnowledgeCase{vm::ContentMode::kMaterialized, true}),
+    [](const auto& info) {
+      return std::string(info.param.mode == vm::ContentMode::kSeedOnly
+                             ? "seed"
+                             : "bytes") +
+             (info.param.chunking ? "_chunked" : "_flat");
+    });
+
+TEST(NoReturnKnowledge, ForStrategiesWithoutContentHashes) {
+  World world;
+  auto vm = MakeVm(MiB(8));
+  world.orchestrator.Deploy(vm, "A");
+  world.orchestrator.Migrate(vm, "B", VeCycleConfig());
+
+  migration::MigrationConfig config;
+  for (const auto strategy :
+       {migration::Strategy::kFull, migration::Strategy::kDedup,
+        migration::Strategy::kDirtyTracking,
+        migration::Strategy::kDirtyPlusDedup}) {
+    config.strategy = strategy;
+    EXPECT_EQ(BuildMigrationRun(world.cluster, vm, "A", config)
+                  .source_knowledge,
+              nullptr)
+        << migration::ToString(strategy);
+  }
+  for (const auto strategy : {migration::Strategy::kHashes,
+                              migration::Strategy::kHashesPlusDedup}) {
+    config.strategy = strategy;
+    EXPECT_NE(BuildMigrationRun(world.cluster, vm, "A", config)
+                  .source_knowledge,
+              nullptr)
+        << migration::ToString(strategy);
+  }
+}
+
+TEST(NoReturnKnowledge, ForResizedVm) {
+  World world;
+  auto vm = MakeVm(MiB(8));
+  world.orchestrator.Deploy(vm, "A");
+  world.orchestrator.Migrate(vm, "B", VeCycleConfig());
+
+  vm.AdoptMemory(
+      std::make_unique<vm::GuestMemory>(MiB(16), vm::ContentMode::kSeedOnly));
+  Xoshiro256 rng(3);
+  vm::MemoryProfile{}.Apply(vm.Memory(), rng);
+  EXPECT_EQ(
+      BuildMigrationRun(world.cluster, vm, "A", VeCycleConfig())
+          .source_knowledge,
+      nullptr);
+  // The return itself runs cold and correct.
+  const auto back = world.orchestrator.Migrate(vm, "A", VeCycleConfig());
+  EXPECT_EQ(back.pages_sent_checksum, 0u);
+  EXPECT_EQ(back.bulk_exchange_bytes.count, 0u);
 }
 
 }  // namespace

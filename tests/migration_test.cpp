@@ -80,7 +80,7 @@ TEST_P(StrategyCorrectness, ReconstructsMemoryWithStaleCheckpoint) {
   auto memory = RandomMemory(MiB(8), 2);
 
   // The VM visited the destination before: a checkpoint of an older state
-  // waits there, and the VM carries its departure metadata.
+  // waits there, and the run carries its departure metadata.
   const auto departure_generations = memory.Generations();
   bed.dst_store.Save("vm", storage::Checkpoint::CaptureFrom(memory),
                      kSimEpoch);

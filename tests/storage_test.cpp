@@ -158,19 +158,6 @@ TEST(ChecksumIndex, BulkExchangeSizeMatchesPaperExample) {
   EXPECT_EQ(index.BulkExchangeSize(), KiB(16));
 }
 
-TEST(ChecksumIndex, FromEntriesSortsInput) {
-  std::vector<std::pair<Digest128, vm::PageId>> entries = {
-      {Digest128::FromWords(3, 0), 30},
-      {Digest128::FromWords(1, 0), 10},
-      {Digest128::FromWords(2, 0), 20},
-  };
-  const auto index =
-      ChecksumIndex::FromEntries(std::move(entries), DigestAlgorithm::kMd5);
-  EXPECT_EQ(index.Lookup(Digest128::FromWords(1, 0)), 10u);
-  EXPECT_EQ(index.Lookup(Digest128::FromWords(2, 0)), 20u);
-  EXPECT_EQ(index.Lookup(Digest128::FromWords(3, 0)), 30u);
-}
-
 // --- Checkpoint store. ---
 
 TEST(CheckpointStore, SaveChargesSequentialWrite) {

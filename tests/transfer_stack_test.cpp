@@ -193,7 +193,7 @@ TEST(Multifd, EmitsPerChannelTimelinesAndMetrics) {
 // --- Recycle-aware delta encoding --------------------------------------
 
 /// A return migration: the destination holds the VM's recycled
-/// checkpoint, the VM carries knowledge + departure seeds, and `dirty`
+/// checkpoint, the run carries its digests + departure seeds, and `dirty`
 /// pages were rewritten since departure. Returns the outcome stats.
 MigrationStats RunReturnMigration(bool delta, std::uint64_t dirty_pages,
                                   vm::GuestMemory* check_against = nullptr) {
