@@ -43,7 +43,8 @@ class AuditSink {
                              std::uint64_t wire_bytes, SimTime depart,
                              SimTime arrival);
 
-  /// A checkpoint store verified an image digest after a save or load.
+  /// A checkpoint store verified a checkpoint's integrity on a save or
+  /// scanned it on a load.
   virtual void OnCheckpointVerified(bool integrity_ok);
 
   /// A checkpoint store removed an entry: `evicted` distinguishes policy

@@ -1,12 +1,38 @@
 #include "storage/checkpoint.hpp"
 
+#include <algorithm>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
+#include <system_error>
 
 #include "common/check.hpp"
 #include "digest/md5.hpp"
 
 namespace vecycle::storage {
+
+namespace {
+
+/// First overlay entry at or after `page`.
+template <typename Overlay>
+auto FindDamage(Overlay& damage, vm::PageId page) {
+  return std::lower_bound(
+      damage.begin(), damage.end(), page,
+      [](const auto& entry, vm::PageId key) { return entry.first < key; });
+}
+
+/// The file format's integrity digest: MD5 over seeds‖generations.
+Digest128 ImageMd5(const std::vector<std::uint64_t>& seeds,
+                   const std::vector<std::uint64_t>& generations) {
+  Md5 md5;
+  md5.Update(seeds.data(), seeds.size() * sizeof(std::uint64_t));
+  md5.Update(generations.data(), generations.size() * sizeof(std::uint64_t));
+  return md5.Finalize();
+}
+
+constexpr char kMagic[8] = {'V', 'E', 'C', 'C', 'K', 'P', 'T', '1'};
+
+}  // namespace
 
 Checkpoint Checkpoint::CaptureFrom(const vm::GuestMemory& memory) {
   Checkpoint cp;
@@ -15,33 +41,23 @@ Checkpoint Checkpoint::CaptureFrom(const vm::GuestMemory& memory) {
     cp.seeds_.push_back(memory.Seed(page));
   }
   cp.generations_ = memory.Generations();
-  cp.captured_digest_ = cp.ImageDigest();
   return cp;
-}
-
-Digest128 Checkpoint::ImageDigest() const {
-  if (image_digest_cached_) return image_digest_cache_;
-  Md5 md5;
-  md5.Update(seeds_.data(), seeds_.size() * sizeof(std::uint64_t));
-  md5.Update(generations_.data(),
-             generations_.size() * sizeof(std::uint64_t));
-  image_digest_cache_ = md5.Finalize();
-  image_digest_cached_ = true;
-  return image_digest_cache_;
 }
 
 void Checkpoint::CorruptPageForTesting(vm::PageId page,
                                        std::uint64_t bad_seed) {
   VEC_CHECK_MSG(page < seeds_.size(), "corruption target out of range");
-  seeds_[page] = bad_seed;  // deliberately leaves captured_digest_ stale
-  // The corrupted content must be re-hashed like a real disk error would
-  // be: only captured_digest_ stays stale, not the computed digest.
-  image_digest_cached_ = false;
+  auto at = FindDamage(damage_, page);
+  if (at != damage_.end() && at->first == page) at = damage_.erase(at);
+  if (bad_seed != seeds_[page]) damage_.insert(at, {page, bad_seed});
 }
 
 std::uint64_t Checkpoint::SeedAt(vm::PageId page) const {
   VEC_CHECK_MSG(page < seeds_.size(), "checkpoint page out of range");
-  return seeds_[page];
+  if (damage_.empty()) return seeds_[page];
+  const auto at = FindDamage(damage_, page);
+  return at != damage_.end() && at->first == page ? at->second
+                                                  : seeds_[page];
 }
 
 std::uint64_t Checkpoint::GenerationAt(vm::PageId page) const {
@@ -57,27 +73,28 @@ Digest128 Checkpoint::DigestAt(vm::PageId page, vm::ContentMode mode,
 void Checkpoint::RestoreInto(vm::GuestMemory& memory) const {
   VEC_CHECK_MSG(memory.PageCount() == PageCount(),
                 "checkpoint does not match memory geometry");
+  auto damaged = damage_.begin();
   for (vm::PageId page = 0; page < PageCount(); ++page) {
-    memory.WritePage(page, seeds_[page]);
+    const bool hit = damaged != damage_.end() && damaged->first == page;
+    memory.WritePage(page, hit ? (damaged++)->second : seeds_[page]);
   }
 }
 
-namespace {
-constexpr char kMagic[8] = {'V', 'E', 'C', 'C', 'K', 'P', 'T', '1'};
-}  // namespace
-
 void Checkpoint::SaveFile(const std::string& path) const {
+  std::vector<std::uint64_t> stored = seeds_;
+  for (const auto& [page, seed] : damage_) stored[page] = seed;
+  const Digest128 digest = ImageMd5(seeds_, generations_);
   std::ofstream out(path, std::ios::binary);
   VEC_CHECK_MSG(out.is_open(), "cannot write checkpoint: " + path);
   out.write(kMagic, sizeof(kMagic));
   const std::uint64_t count = PageCount();
   out.write(reinterpret_cast<const char*>(&count), sizeof(count));
-  out.write(reinterpret_cast<const char*>(seeds_.data()),
+  out.write(reinterpret_cast<const char*>(stored.data()),
             static_cast<std::streamsize>(count * sizeof(std::uint64_t)));
   out.write(reinterpret_cast<const char*>(generations_.data()),
             static_cast<std::streamsize>(count * sizeof(std::uint64_t)));
-  out.write(reinterpret_cast<const char*>(captured_digest_.words.data()),
-            sizeof(captured_digest_.words));
+  out.write(reinterpret_cast<const char*>(digest.words.data()),
+            sizeof(digest.words));
   VEC_CHECK_MSG(out.good(), "checkpoint write failed: " + path);
 }
 
@@ -91,6 +108,13 @@ Checkpoint Checkpoint::LoadFile(const std::string& path) {
   std::uint64_t count = 0;
   in.read(reinterpret_cast<char*>(&count), sizeof(count));
   VEC_CHECK_MSG(in.good(), "truncated checkpoint: " + path);
+  // A corrupt header must not size the vectors: the file holds 16 bytes
+  // per page, so a larger count is rejected before anything is allocated
+  // (dividing the size cannot wrap the way multiplying the count can).
+  std::error_code error;
+  const std::uintmax_t file_bytes = std::filesystem::file_size(path, error);
+  VEC_CHECK_MSG(!error && count <= file_bytes / (2 * sizeof(std::uint64_t)),
+                "truncated checkpoint: " + path);
   Checkpoint cp;
   cp.seeds_.resize(count);
   cp.generations_.resize(count);
@@ -98,10 +122,10 @@ Checkpoint Checkpoint::LoadFile(const std::string& path) {
           static_cast<std::streamsize>(count * sizeof(std::uint64_t)));
   in.read(reinterpret_cast<char*>(cp.generations_.data()),
           static_cast<std::streamsize>(count * sizeof(std::uint64_t)));
-  in.read(reinterpret_cast<char*>(cp.captured_digest_.words.data()),
-          sizeof(cp.captured_digest_.words));
+  Digest128 digest;
+  in.read(reinterpret_cast<char*>(digest.words.data()), sizeof(digest.words));
   VEC_CHECK_MSG(in.good(), "truncated checkpoint: " + path);
-  VEC_CHECK_MSG(cp.IntegrityOk(),
+  VEC_CHECK_MSG(ImageMd5(cp.seeds_, cp.generations_) == digest,
                 "checkpoint failed integrity verification: " + path);
   return cp;
 }

