@@ -82,7 +82,7 @@ EvacuationResult Evacuate(std::size_t vm_count,
     run.destination = {dest_cpus[i].get(), dest_stores[i].get()};
     run.vm_id = "vm" + std::to_string(i);
     run.config.strategy = strategy;
-    run.source_knowledge = std::make_shared<const DigestSet>(knowledge[i]);
+    run.source_knowledge = std::make_shared<const DigestMap>(knowledge[i]);
     sessions.push_back(
         std::make_unique<migration::MigrationSession>(std::move(run)));
   }

@@ -1,8 +1,8 @@
 // Wall-clock performance harness for the hot paths this repo's benches
 // lean on: page digests (real MD5 over materialized pages, the closed-form
-// seed-mode digest), digest-set construction
-// and membership probing (flat hash set vs the sorted-vector baseline it
-// replaced), simulator event throughput, and the full six-strategy
+// seed-mode digest), digest-map construction
+// and membership probing (flat hash table vs the sorted-vector baseline
+// it replaced), simulator event throughput, and the full six-strategy
 // migration sweep of bench_fig5. Workloads are deterministic (fixed
 // seeds, fixed iteration counts); only the measured wall time varies by
 // machine. Emits BENCH_perf.json for tools/bench_compare.py.
@@ -20,7 +20,7 @@
 #include "core/cluster.hpp"
 #include "core/scheduler.hpp"
 #include "core/vm_instance.hpp"
-#include "digest/digest_set.hpp"
+#include "digest/digest_map.hpp"
 #include "digest/hasher.hpp"
 #include "sim/simulator.hpp"
 #include "vm/guest_memory.hpp"
@@ -107,28 +107,29 @@ Result BenchPageDigestSeed() {
   });
 }
 
-// --- digest-set membership --------------------------------------------
+// --- digest-map membership --------------------------------------------
 
-Result BenchDigestSetBuild() {
+Result BenchDigestMapBuild() {
   constexpr std::uint64_t kCount = 65536;
   const auto digests = RandomDigests(kCount, 11);
-  return Measure("digest_set_build_64k", kCount, 0, 10, [&] {
-    DigestSet set(digests);  // copies the vector, then builds
-    volatile std::uint64_t sink = set.Size();
+  return Measure("digest_map_build_64k", kCount, 0, 10, [&] {
+    const DigestMap map(digests);  // sized once, then filled
+    volatile std::uint64_t sink = map.Size();
     (void)sink;
   });
 }
 
-Result BenchDigestSetProbe(bool hit) {
+Result BenchDigestMapProbe(bool hit) {
   constexpr std::uint64_t kCount = 65536;
-  const DigestSet set(RandomDigests(kCount, 11));
+  const auto digests = RandomDigests(kCount, 11);
+  const DigestMap map(digests);
   const auto probes = hit ? RandomDigests(kCount, 11)   // same stream
                           : RandomDigests(kCount, 13);  // disjoint stream
-  return Measure(hit ? "digest_set_probe_hit" : "digest_set_probe_miss",
+  return Measure(hit ? "digest_map_probe_hit" : "digest_map_probe_miss",
                  kCount, 0, 10, [&] {
                    std::uint64_t found = 0;
                    for (const auto& d : probes) {
-                     found += set.Contains(d) ? 1 : 0;
+                     found += map.Contains(d) ? 1 : 0;
                    }
                    volatile std::uint64_t sink = found;
                    (void)sink;
@@ -136,7 +137,7 @@ Result BenchDigestSetProbe(bool hit) {
 }
 
 Result BenchSortedVectorProbe() {
-  // The representation DigestSet replaced, kept as the comparison point.
+  // The §3.3 sorted list DigestMap replaced, kept as the comparison point.
   constexpr std::uint64_t kCount = 65536;
   auto sorted = RandomDigests(kCount, 11);
   std::sort(sorted.begin(), sorted.end());
@@ -270,9 +271,9 @@ int main(int argc, char** argv) {
   std::vector<Result> results;
   results.push_back(BenchPageHashMaterialized());
   results.push_back(BenchPageDigestSeed());
-  results.push_back(BenchDigestSetBuild());
-  results.push_back(BenchDigestSetProbe(/*hit=*/true));
-  results.push_back(BenchDigestSetProbe(/*hit=*/false));
+  results.push_back(BenchDigestMapBuild());
+  results.push_back(BenchDigestMapProbe(/*hit=*/true));
+  results.push_back(BenchDigestMapProbe(/*hit=*/false));
   results.push_back(BenchSortedVectorProbe());
   results.push_back(BenchSimulatorEvents());
   results.push_back(BenchMigrationSweep());

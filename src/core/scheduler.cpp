@@ -80,8 +80,7 @@ migration::MigrationRun BuildMigrationRun(
       digests.push_back(
           vm::ContentDigest(memory.Mode(), config.algorithm, seed));
     }
-    run.source_knowledge =
-        std::make_shared<const DigestSet>(std::move(digests));
+    run.source_knowledge = std::make_shared<const DigestMap>(digests);
   }
   // Checkpoint write-back happens inside the session (booked at the
   // destination completion time, not counted in migration time — §4.4)

@@ -33,7 +33,7 @@ SimTime DestinationActor::Prepare(SimTime start, bool send_bulk_hashes) {
   }
   if (wants_checkpoint && geometry_matches) {
     // A checkpoint that fails the §3.3 integrity scan is still used: its
-    // checksum index is built over the content actually on disk, so the
+    // checksum index covers the content actually on disk, so the
     // damaged pages simply miss every lookup and degrade per page to a
     // resend over the wire, instead of the whole migration going cold.
     // Sequential scan of the image (disk) pipelined with per-block
@@ -48,8 +48,6 @@ SimTime DestinationActor::Prepare(SimTime start, bool send_bulk_hashes) {
           params_.cpu->Hash(start, image, params_.config.algorithm);
       hashed_bytes_ += image;
       ready = std::max(ready, hashed);
-      index_ = storage::ChecksumIndex::Build(*checkpoint_, params_.mode,
-                                             params_.config.algorithm);
     }
     checkpoint_->RestoreInto(*memory_);
     restored_from_checkpoint_ = true;
@@ -59,14 +57,26 @@ SimTime DestinationActor::Prepare(SimTime start, bool send_bulk_hashes) {
   work_done_ = ready;
 
   if (send_bulk_hashes) {
-    VEC_CHECK_MSG(!index_.Empty(),
+    const DigestMap& index = Index();
+    VEC_CHECK_MSG(!index.Empty(),
                   "bulk hash exchange requires a checkpoint index");
+    // The distinct digests in slot order: the source only tests
+    // membership, and the wire size is count x digest size.
     net::Message bulk;
     bulk.type = net::MessageType::kBulkHashes;
-    bulk.bulk_hashes = index_.DistinctDigestList();
+    bulk.bulk_hashes = index.Keys();
     params_.reply->Send(std::move(bulk), ready);
   }
   return ready;
+}
+
+const DigestMap& DestinationActor::Index() {
+  if (!index_.has_value()) {
+    index_ = checkpoint_ == nullptr
+                 ? DigestMap{}
+                 : checkpoint_->Index(params_.mode, params_.config.algorithm);
+  }
+  return *index_;
 }
 
 void DestinationActor::OnMessage(net::Message&& message, SimTime arrival) {
@@ -226,11 +236,11 @@ void DestinationActor::ApplyRecord(const net::PageRecord& record,
     return;
   }
 
-  const auto offset = index_.Lookup(record.digest);
-  if (!offset.has_value()) {
-    // Checkpoint rot/truncation: the index was built over the content
-    // actually on disk, so a damaged page's true digest misses. Degrade
-    // per page — request the full content back — instead of aborting.
+  const std::uint64_t* offset = Index().Find(record.digest);
+  if (offset == nullptr) {
+    // Checkpoint rot/truncation: the index covers the content actually
+    // on disk, so a damaged page's true digest misses. Degrade per page
+    // — request the full content back — instead of aborting.
     RequestResend(record.page);
     return;
   }

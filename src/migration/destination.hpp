@@ -1,26 +1,30 @@
 // Migration destination actor (§3.3, Listing 1).
 //
 // Before the migration the destination initializes guest RAM from the
-// local checkpoint (sequential scan, one checksum per 4 KiB block recorded
-// into the sorted index). During the migration it consumes page batches:
+// local checkpoint (sequential scan, with one checksum per 4 KiB block
+// charged as CPU work). During the migration it consumes page batches:
 // full pages are written to RAM; checksum-only records are verified
 // against the locally initialized page and, on mismatch, satisfied by a
-// random read from the checkpoint file at the offset the index returns.
+// random read from the checkpoint file at the offset the checkpoint's
+// checksum index returns. The index (digest -> lowest page) is built the
+// first time something asks for it, which on a warm leg where every
+// record matches in place is never.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "common/units.hpp"
+#include "digest/digest_map.hpp"
 #include "migration/config.hpp"
 #include "migration/stats.hpp"
 #include "net/channel.hpp"
 #include "net/message.hpp"
 #include "sim/checksum_engine.hpp"
 #include "storage/checkpoint_store.hpp"
-#include "storage/checksum_index.hpp"
 #include "vm/guest_memory.hpp"
 
 namespace vecycle::migration {
@@ -65,12 +69,11 @@ class DestinationActor {
 
   [[nodiscard]] vm::GuestMemory& Memory() { return *memory_; }
 
-  /// The checkpoint's checksum index, for the engine to answer per-page
-  /// queries from (HashExchangeMode::kPerPageQuery). Empty when no
-  /// checkpoint was restored.
-  [[nodiscard]] const storage::ChecksumIndex& Index() const {
-    return index_;
-  }
+  /// The restored checkpoint's checksum index (Checkpoint::Index), built
+  /// on first use: by the bulk exchange, by the per-page query oracle
+  /// (HashExchangeMode::kPerPageQuery), or by a checksum-only record that
+  /// misses in place. Empty when no checkpoint was restored.
+  [[nodiscard]] const DigestMap& Index();
   [[nodiscard]] std::unique_ptr<vm::GuestMemory> TakeMemory() {
     return std::move(memory_);
   }
@@ -121,8 +124,10 @@ class DestinationActor {
 
   Params params_;
   std::unique_ptr<vm::GuestMemory> memory_;
-  const storage::Checkpoint* checkpoint_ = nullptr;
-  storage::ChecksumIndex index_;
+  /// Held for the whole session: another session's Save may evict the
+  /// store's entry while this destination still reads the image.
+  std::shared_ptr<const storage::Checkpoint> checkpoint_;
+  std::optional<DigestMap> index_;
   bool restored_from_checkpoint_ = false;
   SimDuration setup_time_ = SimDuration::zero();
 

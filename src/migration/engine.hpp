@@ -13,7 +13,7 @@
 
 #include "audit/audit.hpp"
 #include "common/check.hpp"
-#include "digest/digest_set.hpp"
+#include "digest/digest_map.hpp"
 #include "migration/config.hpp"
 #include "migration/instruments.hpp"
 #include "migration/stats.hpp"
@@ -21,7 +21,6 @@
 #include "sim/link.hpp"
 #include "sim/simulator.hpp"
 #include "storage/checkpoint_store.hpp"
-#include "storage/checksum_index.hpp"
 #include "vm/guest_memory.hpp"
 #include "vm/workload.hpp"
 
@@ -97,12 +96,12 @@ struct MigrationRun {
   storage::VmId vm_id = "vm";
   MigrationConfig config;
 
-  /// Digest set the source already knows to exist at the destination
-  /// (ping-pong fast path: core::BuildMigrationRun names the pages of the
-  /// checkpoint the destination's store holds for this VM). Null or
-  /// empty + content-hash strategy + checkpoint at the destination
-  /// triggers the §3.2 bulk exchange instead.
-  std::shared_ptr<const DigestSet> source_knowledge;
+  /// Digests the source already knows to exist at the destination; only
+  /// membership is consulted (ping-pong fast path: core::BuildMigrationRun
+  /// names the pages of the checkpoint the destination's store holds for
+  /// this VM). Null or empty + content-hash strategy + checkpoint at the
+  /// destination triggers the §3.2 bulk exchange instead.
+  std::shared_ptr<const DigestMap> source_knowledge;
 
   /// Generation counters at the moment the VM last left the destination
   /// (Miyakodori); empty means no dirty-tracking state.

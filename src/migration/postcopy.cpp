@@ -340,7 +340,9 @@ class PostCopyEngine {
   PostCopyRun run_;
   sim::Direction reverse_ = sim::Direction::kBtoA;
   std::unique_ptr<vm::GuestMemory> dest_memory_;
-  const storage::Checkpoint* checkpoint_ = nullptr;
+  /// Held for the whole session, like the pre-copy destination's: a
+  /// concurrent Save may evict the store's entry meanwhile.
+  std::shared_ptr<const storage::Checkpoint> checkpoint_;
   std::vector<Residency> residency_;
   std::vector<SimTime> fetch_arrival_;
   std::uint64_t remaining_ = 0;

@@ -31,10 +31,8 @@ SourceActor::SourceActor(Params params) : params_(std::move(params)) {
           params_.departure_seeds.size() == params_.memory->PageCount(),
           "departure seed vector does not match memory geometry");
       dest_view_ = params_.departure_seeds;
-      dest_view_known_.assign(dest_view_.size(), 1);
     } else {
-      dest_view_.assign(params_.memory->PageCount(), 0);
-      dest_view_known_.assign(params_.memory->PageCount(), 0);
+      dest_view_.assign(params_.memory->PageCount(), vm::kZeroPageSeed);
     }
   }
 }
@@ -61,10 +59,10 @@ void SourceActor::OnMessage(net::Message&& message, SimTime arrival) {
       VEC_CHECK_MSG(!started_, "bulk hashes after round 1 started");
       stats_.bulk_exchange_bytes +=
           message.WireSize(params_.config.algorithm);
-      // Consume the payload by move; the hash set needs no sort, so the
-      // digests go straight from the wire into the probe table.
+      // The hash table needs no sort: the digests go straight from the
+      // wire into the probe table.
       params_.dest_digests =
-          std::make_shared<const DigestSet>(std::move(message.bulk_hashes));
+          std::make_shared<const DigestMap>(message.bulk_hashes);
       Start(arrival);
       break;
     }
@@ -303,10 +301,10 @@ net::PageRecord SourceActor::FullRecord(vm::PageId page) {
 bool SourceActor::TryDelta(net::PageRecord& record) {
   const auto& delta = params_.config.delta;
   if (!delta.enabled) return false;
-  if (dest_view_known_[record.page] == 0) return false;
   const std::uint64_t baseline = dest_view_[record.page];
-  // Deltas against the zero page are the page itself (nothing to reuse);
-  // the full-page path handles that case better.
+  // Deltas against the zero page (or a page whose destination content is
+  // unknown) are the page itself: nothing to reuse, and the full-page
+  // path handles that case better.
   if (baseline == vm::kZeroPageSeed) return false;
   double ratio;
   if (baseline == record.content_seed) {
@@ -345,7 +343,6 @@ bool SourceActor::TryDelta(net::PageRecord& record) {
 void SourceActor::NoteDestContent(vm::PageId page, std::uint64_t seed) {
   if (!params_.config.delta.enabled) return;
   dest_view_[page] = seed;
-  dest_view_known_[page] = 1;
 }
 
 Bytes SourceActor::TotalPayloadSent() const {

@@ -16,7 +16,7 @@
 #include <vector>
 
 #include "common/units.hpp"
-#include "digest/digest_set.hpp"
+#include "digest/digest_map.hpp"
 #include "migration/config.hpp"
 #include "migration/stats.hpp"
 #include "net/channel.hpp"
@@ -41,12 +41,12 @@ class SourceActor {
     vm::GuestMemory* memory = nullptr;  ///< the live VM
     vm::Workload* workload = nullptr;   ///< nullable: frozen guest
     MigrationConfig config;
-    /// Digests of pages known to exist at the destination. For ping-pong
-    /// migrations the caller provides this from the previous incoming
-    /// migration (VmInstance keeps the set across migrations, so nothing
-    /// is rebuilt); otherwise the bulk exchange replaces it on arrival.
-    /// Null means nothing is known.
-    std::shared_ptr<const DigestSet> dest_digests;
+    /// Digests of pages known to exist at the destination; only
+    /// membership is consulted. For ping-pong migrations the caller names
+    /// the pages of the checkpoint the destination's store holds for this
+    /// VM (core::BuildMigrationRun); otherwise the bulk exchange replaces
+    /// it on arrival. Null means nothing is known.
+    std::shared_ptr<const DigestMap> dest_digests;
     /// Per-page generation counters at the moment the VM last left the
     /// destination host (Miyakodori state); empty disables dirty skips.
     std::vector<std::uint64_t> departure_generations;
@@ -99,8 +99,8 @@ class SourceActor {
   /// Begins round 1 at `start` (>= destination readiness).
   void Start(SimTime start);
 
-  /// Channel receiver for the reverse direction. Takes the message by
-  /// rvalue so the bulk-hash payload is consumed by move, not copied.
+  /// Channel receiver for the reverse direction. Rvalue to match the
+  /// channel's zero-copy delivery.
   void OnMessage(net::Message&& message, SimTime arrival);
 
   /// Invoked when the source has received the final done-ack.
@@ -221,9 +221,10 @@ class SourceActor {
   /// Delta-encoding view of the destination: the content seed the
   /// destination holds per page once in-flight sends land. Pre-seeded
   /// from departure_seeds (the recycled checkpoint), updated on every
-  /// record that establishes content. Empty when delta encoding is off.
+  /// record that establishes content. A page with no known content reads
+  /// as the zero page, which TryDelta never encodes against. Empty when
+  /// delta encoding is off.
   std::vector<std::uint64_t> dest_view_;
-  std::vector<std::uint8_t> dest_view_known_;
 
   // Auto-converge state (AutoConvergeConfig).
   Bytes round_tx_mark_;               ///< TotalPayloadSent() at round start

@@ -70,6 +70,16 @@ Digest128 Checkpoint::DigestAt(vm::PageId page, vm::ContentMode mode,
   return vm::ContentDigest(mode, algorithm, SeedAt(page));
 }
 
+DigestMap Checkpoint::Index(vm::ContentMode mode,
+                            DigestAlgorithm algorithm) const {
+  std::vector<Digest128> digests;
+  digests.reserve(PageCount());
+  for (vm::PageId page = 0; page < PageCount(); ++page) {
+    digests.push_back(DigestAt(page, mode, algorithm));
+  }
+  return DigestMap(digests);
+}
+
 void Checkpoint::RestoreInto(vm::GuestMemory& memory) const {
   VEC_CHECK_MSG(memory.PageCount() == PageCount(),
                 "checkpoint does not match memory geometry");

@@ -23,6 +23,7 @@
 
 #include "common/units.hpp"
 #include "digest/digest.hpp"
+#include "digest/digest_map.hpp"
 #include "vm/guest_memory.hpp"
 
 namespace vecycle::storage {
@@ -53,6 +54,14 @@ class Checkpoint {
   /// in `mode` holding the same content reports from PageDigest(algorithm).
   [[nodiscard]] Digest128 DigestAt(vm::PageId page, vm::ContentMode mode,
                                    DigestAlgorithm algorithm) const;
+
+  /// The §3.3 checksum index over the stored image: each distinct
+  /// DigestAt(page, mode, algorithm) maps to the lowest page holding it,
+  /// so digests the migration source computes over its own memory find
+  /// their checkpoint block. Damaged pages are indexed by the content
+  /// actually stored, not by what was captured.
+  [[nodiscard]] DigestMap Index(vm::ContentMode mode,
+                                DigestAlgorithm algorithm) const;
 
   /// Size of the on-disk image: page_count * 4 KiB (plus a header the
   /// accounting ignores as noise).

@@ -116,10 +116,9 @@ SimTime CheckpointStore::WriteChunks(const std::vector<std::uint64_t>& seeds,
         std::min(chunk_pages, manifest.page_count - page);
     const std::span<const std::uint64_t> chunk(seeds.data() + page, count);
     const Digest128 digest = ChunkDigest(chunk);
-    if (chunks_.Pin(digest, chunk, earliest)) {
-      fresh.emplace_back(digest, count);
-    }
-    manifest.chunks.push_back(digest);
+    bool written = false;
+    manifest.chunks.push_back(chunks_.Pin(digest, chunk, earliest, &written));
+    if (written) fresh.emplace_back(digest, count);
   }
   manifest_refs_ += manifest.chunks.size();
 
@@ -136,7 +135,7 @@ SimTime CheckpointStore::WriteChunks(const std::vector<std::uint64_t>& seeds,
 }
 
 void CheckpointStore::Unpin(const Manifest& manifest) {
-  for (const Digest128& digest : manifest.chunks) chunks_.Unpin(digest);
+  for (const std::uint64_t slot : manifest.chunks) chunks_.Unpin(slot);
   manifest_refs_ -= manifest.chunks.size();
 }
 
@@ -193,16 +192,15 @@ SimTime CheckpointStore::Save(const VmId& vm, Checkpoint checkpoint,
   }
   // Dedup conservation, property (a): the image reconstructed from the
   // manifest must be element-identical to what was just saved.
+  // SeedsOf rejects a slot the sweeps above freed.
   std::uint64_t cursor = 0;
-  for (const Digest128& digest : manifest.chunks) {
-    const std::vector<std::uint64_t>* stored = chunks_.SeedsOf(digest);
-    VEC_CHECK_MSG(stored != nullptr,
-                  "freshly pinned chunk missing from the store");
-    const bool identical = std::equal(stored->begin(), stored->end(),
+  for (const std::uint64_t slot : manifest.chunks) {
+    const std::vector<std::uint64_t>& stored = chunks_.SeedsOf(slot);
+    const bool identical = std::equal(stored.begin(), stored.end(),
                                       seeds.begin() + cursor);
     VEC_CHECK_MSG(identical,
                   "chunked reconstruction does not match the saved image");
-    cursor += stored->size();
+    cursor += stored.size();
   }
 
   // At-rest damage lands in the checkpoint's overlay, which the
@@ -221,7 +219,9 @@ SimTime CheckpointStore::Save(const VmId& vm, Checkpoint checkpoint,
           page, SplitMix64(page ^ 0x7472756e63617465ull).Next() | 1ull);
     }
   }
-  checkpoints_[vm] = Entry{std::move(checkpoint), std::move(manifest), done};
+  checkpoints_[vm] =
+      Entry{std::make_shared<const Checkpoint>(std::move(checkpoint)),
+            std::move(manifest), done};
   ChargeGc(done);
   CheckRefConservation();
   return done;
@@ -230,7 +230,7 @@ SimTime CheckpointStore::Save(const VmId& vm, Checkpoint checkpoint,
 const Checkpoint* CheckpointStore::Peek(const VmId& vm) const {
   common::NullLockGuard lock(mu_);
   const auto it = checkpoints_.find(vm);
-  return it == checkpoints_.end() ? nullptr : &it->second.checkpoint;
+  return it == checkpoints_.end() ? nullptr : it->second.checkpoint.get();
 }
 
 CheckpointStore::LoadResult CheckpointStore::Load(const VmId& vm,
@@ -239,12 +239,12 @@ CheckpointStore::LoadResult CheckpointStore::Load(const VmId& vm,
   const auto it = checkpoints_.find(vm);
   VEC_CHECK_MSG(it != checkpoints_.end(), "no checkpoint for VM: " + vm);
   LoadResult result;
-  result.checkpoint = &it->second.checkpoint;
+  result.checkpoint = it->second.checkpoint;
   constexpr std::uint32_t kMaxScanAttempts = 8;
   std::optional<fault::FaultWindow> error;
   SimTime at = earliest;
   if (!config_.chunking || it->second.manifest.Empty()) {
-    const Bytes size = it->second.checkpoint.SizeOnDisk();
+    const Bytes size = it->second.checkpoint->SizeOnDisk();
     for (std::uint32_t attempt = 1;; ++attempt) {
       result.ready_at = disk_.ReadSequential(at, size, &error);
       if (!error.has_value()) break;
@@ -268,8 +268,9 @@ CheckpointStore::LoadResult CheckpointStore::Load(const VmId& vm,
       const std::uint64_t count =
           std::min(manifest.chunk_pages,
                    manifest.page_count - index * manifest.chunk_pages);
-      chunks_.Touch(manifest.chunks[index], earliest);
-      if (tier_.NoteAccess(manifest.chunks[index], earliest)) {
+      const std::uint64_t slot = manifest.chunks[index];
+      chunks_.Touch(slot, earliest);
+      if (tier_.NoteAccess(chunks_.DigestOf(slot), earliest)) {
         ssd_bytes += Pages(count);
       } else {
         backing_bytes += Pages(count);
@@ -299,14 +300,6 @@ CheckpointStore::LoadResult CheckpointStore::Load(const VmId& vm,
   return result;
 }
 
-SimTime CheckpointStore::ReadBlock(SimTime earliest, bool* read_error) {
-  std::optional<fault::FaultWindow> overlap;
-  const SimTime done = disk_.ReadRandom(
-      earliest, Bytes{kPageSize}, read_error != nullptr ? &overlap : nullptr);
-  if (read_error != nullptr) *read_error = overlap.has_value();
-  return done;
-}
-
 SimTime CheckpointStore::ReadBlock(const VmId& vm, std::uint64_t page,
                                    SimTime earliest, bool* read_error) {
   common::NullLockGuard lock(mu_);
@@ -327,10 +320,11 @@ SimTime CheckpointStore::ReadBlock(const VmId& vm, std::uint64_t page,
   const std::uint64_t count =
       std::min(manifest.chunk_pages,
                manifest.page_count - index * manifest.chunk_pages);
-  chunks_.Touch(manifest.chunks[index], earliest);
+  const std::uint64_t slot = manifest.chunks[index];
+  chunks_.Touch(slot, earliest);
   std::optional<fault::FaultWindow> overlap;
   const SimTime done = tier_.ReadChunkRandom(
-      manifest.chunks[index], Pages(count), earliest,
+      chunks_.DigestOf(slot), Pages(count), earliest,
       read_error != nullptr ? &overlap : nullptr);
   if (read_error != nullptr) *read_error = overlap.has_value();
   return done;
@@ -351,18 +345,17 @@ std::vector<std::uint64_t> CheckpointStore::BaselineSeeds(
   if (it == checkpoints_.end()) return {};
   const Entry& entry = it->second;
   if (!config_.chunking || entry.manifest.Empty()) {
-    return entry.checkpoint.Seeds();
+    return entry.checkpoint->Seeds();
   }
   // Resolve through the manifest: chunks hold the pristine content the
   // image was written with. A live manifest referencing a freed chunk
-  // would be a GC conservation violation — fail loudly, not quietly.
+  // would be a GC conservation violation — SeedsOf fails loudly on a
+  // slot that is no longer live.
   std::vector<std::uint64_t> seeds;
   seeds.reserve(entry.manifest.page_count);
-  for (const Digest128& digest : entry.manifest.chunks) {
-    const std::vector<std::uint64_t>* chunk = chunks_.SeedsOf(digest);
-    VEC_CHECK_MSG(chunk != nullptr,
-                  "live manifest references a freed chunk");
-    seeds.insert(seeds.end(), chunk->begin(), chunk->end());
+  for (const std::uint64_t slot : entry.manifest.chunks) {
+    const std::vector<std::uint64_t>& chunk = chunks_.SeedsOf(slot);
+    seeds.insert(seeds.end(), chunk.begin(), chunk.end());
   }
   return seeds;
 }
@@ -372,7 +365,7 @@ std::vector<std::uint64_t> CheckpointStore::DepartureGenerations(
   common::NullLockGuard lock(mu_);
   const auto it = checkpoints_.find(vm);
   if (it == checkpoints_.end()) return {};
-  return it->second.checkpoint.Generations();
+  return it->second.checkpoint->Generations();
 }
 
 CheckpointStore::Overlap CheckpointStore::ContentOverlap(
@@ -415,7 +408,7 @@ Bytes CheckpointStore::FootprintLocked() const {
   Bytes total;
   // vecycle-analyze: allow(determinism-unordered-iteration) commutative sum over entries; any iteration order yields the same total
   for (const auto& [vm, entry] : checkpoints_) {
-    total += entry.checkpoint.SizeOnDisk();
+    total += entry.checkpoint->SizeOnDisk();
   }
   return total;
 }

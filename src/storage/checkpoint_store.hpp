@@ -24,6 +24,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -91,12 +92,17 @@ class CheckpointStore {
     return checkpoints_.contains(vm);
   }
 
-  /// Read-only access without disk charge (metadata inspection).
+  /// Read-only access without disk charge (metadata inspection). The
+  /// pointer is valid only until the next Save or Drop; a reader that
+  /// spans simulated time holds Load's shared pointer instead.
   [[nodiscard]] const Checkpoint* Peek(const VmId& vm) const;
 
   /// Result of the §3.3 sequential initialization scan.
   struct LoadResult {
-    const Checkpoint* checkpoint = nullptr;
+    /// Shared with the store: the image stays readable for the whole
+    /// session even if another session's Save evicts or replaces the
+    /// entry meanwhile.
+    std::shared_ptr<const Checkpoint> checkpoint;
     SimTime ready_at = kSimEpoch;  ///< when the scan's last byte is read
     /// Sequential scans hit by an injected disk-error window are retried
     /// past the window (the whole scan is re-charged); this counts them.
@@ -113,16 +119,14 @@ class CheckpointStore {
   LoadResult Load(const VmId& vm, SimTime earliest);
 
   /// Books one random 4 KiB block read (Listing 1's lseek+read for a page
-  /// whose current content is elsewhere in the checkpoint). When
-  /// `read_error` is non-null it reports whether an injected disk-error
-  /// window hit the read — the caller falls back to fetching the page
-  /// over the wire instead of trusting the block.
-  SimTime ReadBlock(SimTime earliest, bool* read_error = nullptr);
-
-  /// Chunk-aware block read: in chunked mode the read routes through the
-  /// tier for the chunk holding `page` (SSD hit, or backing-disk miss
-  /// that promotes the chunk); flat mode behaves exactly like the
-  /// overload above. `page` indexes into `vm`'s stored checkpoint.
+  /// whose current content is elsewhere in the checkpoint); `page`
+  /// indexes into `vm`'s stored checkpoint. In chunked mode the read
+  /// routes through the tier for the chunk holding `page` (SSD hit, or
+  /// backing-disk miss that promotes the chunk); flat mode books a plain
+  /// random read on the disk. When `read_error` is non-null it reports
+  /// whether an injected disk-error window hit the read — the caller
+  /// falls back to fetching the page over the wire instead of trusting
+  /// the block.
   SimTime ReadBlock(const VmId& vm, std::uint64_t page, SimTime earliest,
                     bool* read_error = nullptr);
 
@@ -262,15 +266,18 @@ class CheckpointStore {
   [[nodiscard]] bool WasCorrupted(const VmId& vm) const {
     common::NullLockGuard lock(mu_);
     const auto it = checkpoints_.find(vm);
-    return it != checkpoints_.end() && !it->second.checkpoint.IntegrityOk();
+    return it != checkpoints_.end() && !it->second.checkpoint->IntegrityOk();
   }
 
   [[nodiscard]] sim::Disk& Disk() { return disk_; }
 
  private:
   struct Entry {
-    Checkpoint checkpoint;  ///< captured image + at-rest damage overlay
-    Manifest manifest;      ///< chunks of the captured image; flat: empty
+    /// Captured image + at-rest damage overlay; shared with sessions
+    /// that loaded it, so removing the entry never frees an image a
+    /// destination is still reading.
+    std::shared_ptr<const Checkpoint> checkpoint;
+    Manifest manifest;  ///< chunks of the captured image; flat: empty
     SimTime last_used = kSimEpoch;
   };
 

@@ -20,16 +20,24 @@ std::uint64_t ChunkContentKey(std::uint64_t seed) {
   return ChunkDigest(std::span<const std::uint64_t>(&seed, 1)).words[1];
 }
 
-bool ChunkStore::Pin(const Digest128& digest,
-                     std::span<const std::uint64_t> seeds, SimTime now) {
+std::uint64_t ChunkStore::LiveSlot(std::uint64_t slot) const {
+  VEC_CHECK_MSG(slot < arena_.size() && arena_[slot].live,
+                "chunk slot is not live in the store");
+  return slot;
+}
+
+std::uint64_t ChunkStore::Pin(const Digest128& digest,
+                              std::span<const std::uint64_t> seeds,
+                              SimTime now, bool* fresh) {
   VEC_CHECK_MSG(!seeds.empty(), "refusing to pin an empty chunk");
+  if (fresh != nullptr) *fresh = false;
   if (const std::uint64_t* slot = index_.Find(digest)) {
     Chunk& chunk = arena_[*slot];
     ++chunk.refcount;
     ++total_refs_;
     chunk.last_used = std::max(chunk.last_used, now);
     ++deduped_;
-    return false;
+    return *slot;
   }
   std::uint64_t slot;
   if (!free_slots_.empty()) {
@@ -49,29 +57,29 @@ bool ChunkStore::Pin(const Digest128& digest,
   footprint_ += Pages(seeds.size());
   ++total_refs_;
   ++written_;
-  return true;
+  if (fresh != nullptr) *fresh = true;
+  return slot;
 }
 
-void ChunkStore::Unpin(const Digest128& digest) {
-  const std::uint64_t* slot = index_.Find(digest);
-  VEC_CHECK_MSG(slot != nullptr, "unpin of a chunk the store does not hold");
-  Chunk& chunk = arena_[*slot];
+void ChunkStore::Unpin(std::uint64_t slot) {
+  Chunk& chunk = arena_[LiveSlot(slot)];
   VEC_CHECK_MSG(chunk.refcount > 0, "chunk refcount underflow");
   --chunk.refcount;
   --total_refs_;
 }
 
-void ChunkStore::Touch(const Digest128& digest, SimTime now) {
-  if (const std::uint64_t* slot = index_.Find(digest)) {
-    Chunk& chunk = arena_[*slot];
-    chunk.last_used = std::max(chunk.last_used, now);
-  }
+void ChunkStore::Touch(std::uint64_t slot, SimTime now) {
+  Chunk& chunk = arena_[LiveSlot(slot)];
+  chunk.last_used = std::max(chunk.last_used, now);
 }
 
-const std::vector<std::uint64_t>* ChunkStore::SeedsOf(
-    const Digest128& digest) const {
-  const std::uint64_t* slot = index_.Find(digest);
-  return slot == nullptr ? nullptr : &arena_[*slot].seeds;
+const std::vector<std::uint64_t>& ChunkStore::SeedsOf(
+    std::uint64_t slot) const {
+  return arena_[LiveSlot(slot)].seeds;
+}
+
+const Digest128& ChunkStore::DigestOf(std::uint64_t slot) const {
+  return arena_[LiveSlot(slot)].digest;
 }
 
 std::vector<Digest128> ChunkStore::SweepUntil(Bytes target) {

@@ -3,12 +3,13 @@
 // The Fig. 4 observation — co-located desktops cloned from one golden
 // image share most of their pages — means flat per-VM images store the
 // same content over and over. Here a checkpoint becomes a *manifest*: an
-// ordered list of chunk digests, one per fixed-size run of pages, where
-// the chunk payloads live in a shared refcounted arena indexed by content
-// digest (a DigestMap, the erasable sibling of the §3.3 DigestSet). A
-// chunk present in any live manifest is stored exactly once, whether the
-// duplication is across VMs (golden image) or across successive legs of
-// one VM's ping-pong (unchanged pages between visits).
+// ordered list of chunk slots, one per fixed-size run of pages, where the
+// chunk payloads live in a shared refcounted arena. A DigestMap indexes
+// the arena by content digest; Pin is the one place that probes it, and
+// every later operation on a chunk names it by the arena slot Pin
+// returned. A chunk present in any live manifest is stored exactly once,
+// whether the duplication is across VMs (golden image) or across
+// successive legs of one VM's ping-pong (unchanged pages between visits).
 //
 // Garbage collection is deliberate, not incidental: dropping a manifest
 // unpins its chunks (refcount decrement), and a sweep frees unreferenced
@@ -70,11 +71,11 @@ struct StoreConfig {
   }
 };
 
-/// A checkpoint as the chunk store sees it: ordered chunk digests plus the
-/// geometry needed to map page indices back to chunks. The last chunk may
-/// be partial (page_count need not be a multiple of chunk_pages).
+/// A checkpoint as the chunk store sees it: ordered chunk arena slots plus
+/// the geometry needed to map page indices back to chunks. The last chunk
+/// may be partial (page_count need not be a multiple of chunk_pages).
 struct Manifest {
-  std::vector<Digest128> chunks;
+  std::vector<std::uint64_t> chunks;
   std::uint64_t page_count = 0;
   std::uint64_t chunk_pages = 0;
 
@@ -107,22 +108,32 @@ class ChunkStore {
   ChunkStore() = default;
 
   /// Adds a reference to the chunk with `digest`, storing `seeds` if the
-  /// chunk is new. Returns true when the chunk was absent (its bytes must
-  /// be written to disk); false when it was deduplicated against an
-  /// existing copy.
-  bool Pin(const Digest128& digest, std::span<const std::uint64_t> seeds,
-           SimTime now);
+  /// chunk is new, and returns its arena slot — the handle every other
+  /// operation takes. `fresh` (when non-null) reports whether the chunk
+  /// was absent (its bytes must be written to disk) rather than
+  /// deduplicated against an existing copy.
+  std::uint64_t Pin(const Digest128& digest,
+                    std::span<const std::uint64_t> seeds, SimTime now,
+                    bool* fresh = nullptr);
 
   /// Drops one reference. The chunk stays resident (refcount may reach
   /// zero) until a sweep frees it — unpinning is cheap, freeing is GC.
-  void Unpin(const Digest128& digest);
+  void Unpin(std::uint64_t slot);
 
   /// Refreshes recency (sweep victims are least-recently-used first).
-  void Touch(const Digest128& digest, SimTime now);
+  void Touch(std::uint64_t slot, SimTime now);
 
-  /// Payload of a resident chunk; nullptr when absent.
-  [[nodiscard]] const std::vector<std::uint64_t>* SeedsOf(
-      const Digest128& digest) const;
+  /// Payload and content digest of a resident chunk. Each of Unpin,
+  /// Touch, SeedsOf and DigestOf rejects a slot that is not live (never
+  /// pinned, or freed by a sweep).
+  [[nodiscard]] const std::vector<std::uint64_t>& SeedsOf(
+      std::uint64_t slot) const;
+  [[nodiscard]] const Digest128& DigestOf(std::uint64_t slot) const;
+
+  /// True when a chunk with `digest` is resident.
+  [[nodiscard]] bool Holds(const Digest128& digest) const {
+    return index_.Contains(digest);
+  }
 
   /// Frees unreferenced chunks, least-recently-used first (digest order
   /// breaks ties), until the footprint is at most `target`. Referenced
@@ -151,6 +162,9 @@ class ChunkStore {
     SimTime last_used = kSimEpoch;
     bool live = false;
   };
+
+  /// Returns `slot`, rejecting one that is not live.
+  [[nodiscard]] std::uint64_t LiveSlot(std::uint64_t slot) const;
 
   std::vector<Chunk> arena_;
   std::set<std::uint64_t> free_slots_;  // ascending: lowest slot reused first

@@ -155,28 +155,32 @@ TEST(ChunkStore, PinDedupsIdenticalContent) {
   ChunkStore store;
   const auto seeds = SeedRun(1, 4);
   const auto digest = ChunkDigest(seeds);
-  EXPECT_TRUE(store.Pin(digest, seeds, Seconds(1)));   // fresh: needs a write
-  EXPECT_FALSE(store.Pin(digest, seeds, Seconds(2)));  // deduplicated
+  bool fresh = false;
+  const std::uint64_t slot = store.Pin(digest, seeds, Seconds(1), &fresh);
+  EXPECT_TRUE(fresh);  // needs a write
+  EXPECT_EQ(store.Pin(digest, seeds, Seconds(2), &fresh), slot);
+  EXPECT_FALSE(fresh);  // deduplicated
   EXPECT_EQ(store.ResidentChunks(), 1u);
   EXPECT_EQ(store.TotalRefcount(), 2u);
   EXPECT_EQ(store.Footprint(), Pages(4));
   EXPECT_EQ(store.ChunksWritten(), 1u);
   EXPECT_EQ(store.ChunksDeduped(), 1u);
-  ASSERT_NE(store.SeedsOf(digest), nullptr);
-  EXPECT_EQ(*store.SeedsOf(digest), seeds);
+  EXPECT_TRUE(store.Holds(digest));
+  EXPECT_EQ(store.SeedsOf(slot), seeds);
+  EXPECT_EQ(store.DigestOf(slot), digest);
 }
 
 TEST(ChunkStore, SweepNeverFreesAReferencedChunk) {
   ChunkStore store;
   const auto pinned = SeedRun(1, 4);
   const auto loose = SeedRun(2, 4);
-  store.Pin(ChunkDigest(pinned), pinned, Seconds(1));
-  store.Pin(ChunkDigest(loose), loose, Seconds(2));
-  store.Unpin(ChunkDigest(loose));
+  const auto pinned_slot = store.Pin(ChunkDigest(pinned), pinned, Seconds(1));
+  store.Unpin(store.Pin(ChunkDigest(loose), loose, Seconds(2)));
   const auto freed = store.SweepUntil(Bytes{0});
   EXPECT_EQ(freed, std::vector<Digest128>{ChunkDigest(loose)});
-  EXPECT_NE(store.SeedsOf(ChunkDigest(pinned)), nullptr);
-  EXPECT_EQ(store.SeedsOf(ChunkDigest(loose)), nullptr);
+  EXPECT_EQ(store.SeedsOf(pinned_slot), pinned);
+  EXPECT_TRUE(store.Holds(ChunkDigest(pinned)));
+  EXPECT_FALSE(store.Holds(ChunkDigest(loose)));
   EXPECT_EQ(store.Footprint(), Pages(4));
   EXPECT_EQ(store.GcFreed(), 1u);
 }
@@ -186,26 +190,25 @@ TEST(ChunkStore, SweepOrderIsLastUsedThenDigest) {
   const auto a = SeedRun(10, 2);
   const auto b = SeedRun(11, 2);
   const auto c = SeedRun(12, 2);
-  store.Pin(ChunkDigest(a), a, Seconds(3));
-  store.Pin(ChunkDigest(b), b, Seconds(1));
-  store.Pin(ChunkDigest(c), c, Seconds(2));
-  for (const auto& seeds : {a, b, c}) store.Unpin(ChunkDigest(seeds));
+  const auto slot_a = store.Pin(ChunkDigest(a), a, Seconds(3));
+  store.Unpin(store.Pin(ChunkDigest(b), b, Seconds(1)));
+  store.Unpin(store.Pin(ChunkDigest(c), c, Seconds(2)));
+  store.Unpin(slot_a);
   // Stop after freeing two chunks: the LRU pair (b then c) goes, a stays.
   const auto freed = store.SweepUntil(Pages(2));
   ASSERT_EQ(freed.size(), 2u);
   EXPECT_EQ(freed[0], ChunkDigest(b));
   EXPECT_EQ(freed[1], ChunkDigest(c));
-  EXPECT_NE(store.SeedsOf(ChunkDigest(a)), nullptr);
+  EXPECT_TRUE(store.Holds(ChunkDigest(a)));
 
   // Touch refreshes recency: re-pin b and c, unpin, touch b — now c is
   // the older of the two and goes first. Re-pin a so the survivor of the
   // first sweep is referenced and off the candidate list.
   store.Pin(ChunkDigest(a), a, Seconds(4));
-  store.Pin(ChunkDigest(b), b, Seconds(4));
-  store.Pin(ChunkDigest(c), c, Seconds(5));
-  store.Unpin(ChunkDigest(b));
-  store.Unpin(ChunkDigest(c));
-  store.Touch(ChunkDigest(b), Seconds(9));
+  const auto slot_b = store.Pin(ChunkDigest(b), b, Seconds(4));
+  store.Unpin(slot_b);
+  store.Unpin(store.Pin(ChunkDigest(c), c, Seconds(5)));
+  store.Touch(slot_b, Seconds(9));
   const auto freed2 = store.SweepUntil(Pages(4));
   ASSERT_EQ(freed2.size(), 1u);
   EXPECT_EQ(freed2[0], ChunkDigest(c));
@@ -214,10 +217,62 @@ TEST(ChunkStore, SweepOrderIsLastUsedThenDigest) {
 TEST(ChunkStore, UnpinWithoutPinThrows) {
   ChunkStore store;
   const auto seeds = SeedRun(1, 2);
-  EXPECT_THROW(store.Unpin(ChunkDigest(seeds)), CheckFailure);
-  store.Pin(ChunkDigest(seeds), seeds, Seconds(1));
-  store.Unpin(ChunkDigest(seeds));
-  EXPECT_THROW(store.Unpin(ChunkDigest(seeds)), CheckFailure);
+  EXPECT_THROW(store.Unpin(0), CheckFailure);
+  const auto slot = store.Pin(ChunkDigest(seeds), seeds, Seconds(1));
+  store.Unpin(slot);
+  EXPECT_THROW(store.Unpin(slot), CheckFailure);
+}
+
+TEST(ChunkStore, RepinningKnownContentReturnsTheSameSlot) {
+  ChunkStore store;
+  const auto a = SeedRun(20, 4);
+  const auto b = SeedRun(21, 4);
+  const auto slot_a = store.Pin(ChunkDigest(a), a, Seconds(1));
+  const auto slot_b = store.Pin(ChunkDigest(b), b, Seconds(1));
+  EXPECT_NE(slot_a, slot_b);
+  EXPECT_EQ(store.Pin(ChunkDigest(a), a, Seconds(2)), slot_a);
+  EXPECT_EQ(store.Pin(ChunkDigest(b), b, Seconds(2)), slot_b);
+  // Unpinned to zero but not yet swept: still the same chunk.
+  for (int i = 0; i < 2; ++i) store.Unpin(slot_a);
+  EXPECT_EQ(store.Pin(ChunkDigest(a), a, Seconds(3)), slot_a);
+  EXPECT_EQ(store.ResidentChunks(), 2u);
+}
+
+TEST(ChunkStore, DeadSlotsAreRejected) {
+  ChunkStore store;
+  const auto seeds = SeedRun(30, 2);
+  // Never pinned: slot 0 does not exist yet.
+  EXPECT_THROW(store.Unpin(0), CheckFailure);
+  EXPECT_THROW(store.Touch(0, Seconds(1)), CheckFailure);
+  EXPECT_THROW((void)store.SeedsOf(0), CheckFailure);
+  EXPECT_THROW((void)store.DigestOf(0), CheckFailure);
+  // Freed by a sweep: the slot is still in the arena, but dead.
+  const auto slot = store.Pin(ChunkDigest(seeds), seeds, Seconds(1));
+  store.Unpin(slot);
+  ASSERT_EQ(store.SweepUntil(Bytes{0}).size(), 1u);
+  EXPECT_THROW(store.Unpin(slot), CheckFailure);
+  EXPECT_THROW(store.Touch(slot, Seconds(2)), CheckFailure);
+  EXPECT_THROW((void)store.SeedsOf(slot), CheckFailure);
+  EXPECT_THROW((void)store.DigestOf(slot), CheckFailure);
+}
+
+TEST(ChunkStore, SweptSlotIsReusedByTheNextFreshPin) {
+  ChunkStore store;
+  const auto a = SeedRun(40, 2);
+  const auto b = SeedRun(41, 2);
+  const auto c = SeedRun(42, 2);
+  const auto slot_a = store.Pin(ChunkDigest(a), a, Seconds(1));
+  const auto slot_b = store.Pin(ChunkDigest(b), b, Seconds(1));
+  store.Unpin(slot_a);
+  ASSERT_EQ(store.SweepUntil(Bytes{0}).size(), 1u);
+  // A dedup hit takes no slot; the next fresh chunk takes the freed one.
+  EXPECT_EQ(store.Pin(ChunkDigest(b), b, Seconds(2)), slot_b);
+  bool fresh = false;
+  EXPECT_EQ(store.Pin(ChunkDigest(c), c, Seconds(2), &fresh), slot_a);
+  EXPECT_TRUE(fresh);
+  EXPECT_EQ(store.SeedsOf(slot_a), c);
+  EXPECT_EQ(store.DigestOf(slot_a), ChunkDigest(c));
+  EXPECT_FALSE(store.Holds(ChunkDigest(a)));
 }
 
 // --- Chunked CheckpointStore properties --------------------------------

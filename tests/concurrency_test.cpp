@@ -245,8 +245,7 @@ TEST(Concurrency, ConcurrentVeCycleAndBaselineShareSourceCpu) {
 
   auto run1 = world.MakeRun(mem1, "vm1", sim::Direction::kAtoB);
   run1.config.strategy = Strategy::kHashes;
-  run1.source_knowledge =
-      std::make_shared<const DigestSet>(std::move(knowledge));
+  run1.source_knowledge = std::make_shared<const DigestMap>(knowledge);
   MigrationSession s1(std::move(run1));
   MigrationSession s2(world.MakeRun(mem2, "vm2", sim::Direction::kAtoB));
   world.simulator.Run();

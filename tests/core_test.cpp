@@ -12,7 +12,6 @@
 #include "core/cluster.hpp"
 #include "core/orchestrator.hpp"
 #include "core/vm_instance.hpp"
-#include "storage/checksum_index.hpp"
 #include "vm/workload.hpp"
 
 namespace vecycle::core {
@@ -371,9 +370,7 @@ TEST_P(ReturnKnowledge, NamesEveryPageOfTheCheckpointLeftBehind) {
   }
   // Nothing else: exactly the checkpoint's distinct digests.
   EXPECT_EQ(run.source_knowledge->Size(),
-            storage::ChecksumIndex::Build(*checkpoint, param.mode,
-                                          config.algorithm)
-                .DistinctDigests());
+            checkpoint->Index(param.mode, config.algorithm).Size());
   EXPECT_FALSE(run.source_knowledge->Contains(
       vm.Memory().PageDigest(0, config.algorithm)));
 }

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -13,7 +14,7 @@
 #include "common/check.hpp"
 #include "common/rng.hpp"
 #include "digest/digest.hpp"
-#include "digest/digest_set.hpp"
+#include "digest/digest_map.hpp"
 #include "digest/fnv.hpp"
 #include "digest/hasher.hpp"
 #include "digest/md5.hpp"
@@ -364,7 +365,7 @@ TEST(PaddingBoundaries, IncrementalSplitsAgreeAtEveryBoundary) {
   }
 }
 
-// --- DigestSet: flat O(1) membership vs the sorted-vector baseline. ---
+// --- DigestMap: flat O(1) membership vs the sorted-vector baseline. ---
 
 std::vector<Digest128> RandomCorpus(std::uint64_t n, std::uint64_t seed) {
   Xoshiro256 rng(seed);
@@ -376,33 +377,40 @@ std::vector<Digest128> RandomCorpus(std::uint64_t n, std::uint64_t seed) {
   return corpus;
 }
 
-TEST(DigestSet, EmptySetContainsNothing) {
-  const DigestSet set{std::vector<Digest128>{}};
-  EXPECT_TRUE(set.Empty());
-  EXPECT_EQ(set.Size(), 0u);
-  EXPECT_FALSE(set.Contains(Digest128::FromWords(1, 2)));
-  const DigestSet default_constructed;
+std::vector<Digest128> SortedKeys(const DigestMap& map) {
+  auto keys = map.Keys();
+  std::sort(keys.begin(), keys.end());
+  return keys;
+}
+
+TEST(DigestMap, EmptyMapContainsNothing) {
+  const DigestMap map{std::vector<Digest128>{}};
+  EXPECT_TRUE(map.Empty());
+  EXPECT_EQ(map.Size(), 0u);
+  EXPECT_FALSE(map.Contains(Digest128::FromWords(1, 2)));
+  EXPECT_TRUE(map.Keys().empty());
+  const DigestMap default_constructed;
   EXPECT_FALSE(default_constructed.Contains(Digest128::FromWords(1, 2)));
 }
 
-TEST(DigestSet, AgreesWithBinarySearchOnRandomCorpus) {
+TEST(DigestMap, AgreesWithBinarySearchOnRandomCorpus) {
   const auto corpus = RandomCorpus(5000, 0xd1d1);
   auto sorted = corpus;
   std::sort(sorted.begin(), sorted.end());
-  const DigestSet set(corpus);
+  const DigestMap map(corpus);
 
   for (const auto& digest : corpus) {
-    EXPECT_TRUE(set.Contains(digest));
+    EXPECT_TRUE(map.Contains(digest));
   }
   // Random probes (overwhelmingly non-members) must give the same answer
   // binary search over the sorted list gives.
   for (const auto& probe : RandomCorpus(2000, 0xfeed)) {
-    EXPECT_EQ(set.Contains(probe),
+    EXPECT_EQ(map.Contains(probe),
               std::binary_search(sorted.begin(), sorted.end(), probe));
   }
 }
 
-TEST(DigestSet, LowWordCollisionsDoNotConfuseMembership) {
+TEST(DigestMap, LowWordCollisionsDoNotConfuseMembership) {
   // Every digest here shares its low 64 bits; membership rests on the
   // full-digest comparison in the slot, not on either word alone.
   // Members must be found, the absent sibling must not.
@@ -411,15 +419,15 @@ TEST(DigestSet, LowWordCollisionsDoNotConfuseMembership) {
   for (std::uint64_t hi = 0; hi < 257; ++hi) {
     corpus.push_back(Digest128::FromWords(hi, kSharedLow));
   }
-  const DigestSet set(corpus);
+  const DigestMap map(corpus);
   for (const auto& digest : corpus) {
-    EXPECT_TRUE(set.Contains(digest));
+    EXPECT_TRUE(map.Contains(digest));
   }
-  EXPECT_FALSE(set.Contains(Digest128::FromWords(999, kSharedLow)));
-  EXPECT_FALSE(set.Contains(Digest128::FromWords(0, kSharedLow + 1)));
+  EXPECT_FALSE(map.Contains(Digest128::FromWords(999, kSharedLow)));
+  EXPECT_FALSE(map.Contains(Digest128::FromWords(0, kSharedLow + 1)));
 }
 
-TEST(DigestSet, FnvDigestsSpreadAcrossHomeSlots) {
+TEST(DigestMap, FnvDigestsSpreadAcrossHomeSlots) {
   // FnvDigest fills word 0 and leaves word 1 zero. A slot hash of word 1
   // alone sends every FNV digest to one home slot, and insert and probe
   // go quadratic; folding both words spreads them like any other digest.
@@ -434,32 +442,65 @@ TEST(DigestSet, FnvDigestsSpreadAcrossHomeSlots) {
   EXPECT_GT(homes.size(), kSlots / 2);
 }
 
-TEST(DigestSet, DeduplicatesAndSortsBack) {
+TEST(DigestMap, DeduplicatesAndListsKeys) {
   auto corpus = RandomCorpus(1000, 0xabcd);
   auto with_dups = corpus;
   with_dups.insert(with_dups.end(), corpus.begin(), corpus.end());
-  const DigestSet set(with_dups);
-  EXPECT_EQ(set.Size(), corpus.size());
+  const DigestMap map(with_dups);
+  EXPECT_EQ(map.Size(), corpus.size());
+  EXPECT_GE(map.Capacity(), 2 * map.Size());
 
   std::sort(corpus.begin(), corpus.end());
-  EXPECT_EQ(set.ToSortedVector(), corpus);
+  EXPECT_EQ(SortedKeys(map), corpus);
 }
 
-TEST(DigestSet, InternalEmptyMarkerValueIsStorable) {
-  // The implementation reserves one arbitrary 128-bit value as its
-  // free-slot marker; storing exactly that value must still work.
-  const auto marker =
+TEST(DigestMap, AnyDigestValueIsStorable) {
+  // Vacancy is marked in the value, not the key, so no 128-bit digest is
+  // reserved: the all-zero and all-ones words are keys like any other.
+  const auto fixed =
       Digest128::FromWords(0x9d5c6fabe17c4e2bull, 0x3f84a1d0c2b96e57ull);
+  const auto zero = Digest128::FromWords(0, 0);
+  const auto ones = Digest128::FromWords(~0ull, ~0ull);
   std::vector<Digest128> corpus = RandomCorpus(16, 0x11);
-  corpus.push_back(marker);
-  corpus.push_back(marker);  // duplicate of the marker too
-  const DigestSet set(corpus);
-  EXPECT_TRUE(set.Contains(marker));
-  EXPECT_EQ(set.Size(), 17u);
+  corpus.insert(corpus.end(), {fixed, zero, ones, fixed});
+  const DigestMap map(corpus);
+  EXPECT_TRUE(map.Contains(fixed));
+  EXPECT_TRUE(map.Contains(zero));
+  EXPECT_TRUE(map.Contains(ones));
+  EXPECT_EQ(map.Size(), 19u);
   auto sorted = RandomCorpus(16, 0x11);
-  sorted.push_back(marker);
+  sorted.insert(sorted.end(), {fixed, zero, ones});
   std::sort(sorted.begin(), sorted.end());
-  EXPECT_EQ(set.ToSortedVector(), sorted);
+  EXPECT_EQ(SortedKeys(map), sorted);
+}
+
+TEST(DigestMap, InsertingTheVacantMarkerThrows) {
+  DigestMap map;
+  EXPECT_THROW(map.Insert(Digest128::FromWords(1, 2), DigestMap::kVacant),
+               CheckFailure);
+  EXPECT_TRUE(map.Empty());
+  EXPECT_TRUE(map.Insert(Digest128::FromWords(1, 2), DigestMap::kVacant - 1));
+  EXPECT_EQ(*map.Find(Digest128::FromWords(1, 2)), DigestMap::kVacant - 1);
+}
+
+TEST(DigestMap, SpanConstructorKeepsFirstPositions) {
+  // Heavy duplication: 4000 draws from 37 distinct digests. Each must map
+  // to the index of its first occurrence, as a first-wins model says.
+  const auto pool = RandomCorpus(37, 0x5eed);
+  Xoshiro256 rng(0x5eed);
+  std::vector<Digest128> digests;
+  std::map<Digest128, std::uint64_t> first;
+  for (std::uint64_t i = 0; i < 4000; ++i) {
+    digests.push_back(pool[rng.Next() % pool.size()]);
+    first.emplace(digests.back(), i);
+  }
+  const DigestMap map(digests);
+  ASSERT_EQ(map.Size(), first.size());
+  for (const auto& [digest, position] : first) {
+    const std::uint64_t* found = map.Find(digest);
+    ASSERT_NE(found, nullptr);
+    EXPECT_EQ(*found, position);
+  }
 }
 
 }  // namespace

@@ -328,7 +328,7 @@ migration::MigrationStats RunRecycledMigration(bool rot,
   migration_config.strategy = Strategy::kHashes;
   auto run = bed.MakeRun(memory, migration_config);
   run.instruments.auditor = &auditor;
-  run.source_knowledge = std::make_shared<const DigestSet>(knowledge);
+  run.source_knowledge = std::make_shared<const DigestMap>(knowledge);
   auto outcome = RunMigration(std::move(run));
   // The acceptance bar: the reconstructed memory is bit-identical to the
   // fault-free run's (both must equal the live source).

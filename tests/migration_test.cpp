@@ -93,7 +93,7 @@ TEST_P(StrategyCorrectness, ReconstructsMemoryWithStaleCheckpoint) {
   MigrationConfig config;
   config.strategy = GetParam();
   auto run = bed.MakeRun(memory, config);
-  run.source_knowledge = std::make_shared<const DigestSet>(knowledge);
+  run.source_knowledge = std::make_shared<const DigestMap>(knowledge);
   run.departure_generations = departure_generations;
   auto outcome = RunMigration(std::move(run));
   EXPECT_TRUE(outcome.dest_memory->ContentEquals(memory));
@@ -184,7 +184,7 @@ TEST(Migration, HashesIdenticalStateSendsOnlyChecksums) {
   MigrationConfig config;
   config.strategy = Strategy::kHashes;
   auto run = bed.MakeRun(memory, config);
-  run.source_knowledge = std::make_shared<const DigestSet>(DigestsOf(memory));
+  run.source_knowledge = std::make_shared<const DigestMap>(DigestsOf(memory));
   auto outcome = RunMigration(std::move(run));
 
   EXPECT_EQ(outcome.stats.pages_sent_full,
@@ -210,7 +210,7 @@ TEST(Migration, HashesFetchesMovedContentFromCheckpoint) {
   MigrationConfig config;
   config.strategy = Strategy::kHashes;
   auto run = bed.MakeRun(memory, config);
-  run.source_knowledge = std::make_shared<const DigestSet>(knowledge);
+  run.source_knowledge = std::make_shared<const DigestMap>(knowledge);
   auto outcome = RunMigration(std::move(run));
 
   EXPECT_TRUE(outcome.dest_memory->ContentEquals(memory));
@@ -242,7 +242,7 @@ TEST(Migration, HashesWithKnowledgeSkipsBulkExchange) {
   MigrationConfig config;
   config.strategy = Strategy::kHashes;
   auto run = bed.MakeRun(memory, config);
-  run.source_knowledge = std::make_shared<const DigestSet>(DigestsOf(memory));
+  run.source_knowledge = std::make_shared<const DigestMap>(DigestsOf(memory));
   auto outcome = RunMigration(std::move(run));
   EXPECT_EQ(outcome.stats.bulk_exchange_bytes.count, 0u);
 }
@@ -309,7 +309,7 @@ TEST(Migration, DirtyTrackingOverestimatesOnRemap) {
   MigrationConfig hash_config;
   hash_config.strategy = Strategy::kHashes;
   auto hash_run = bed2.MakeRun(memory, hash_config);
-  hash_run.source_knowledge = std::make_shared<const DigestSet>(knowledge);
+  hash_run.source_knowledge = std::make_shared<const DigestMap>(knowledge);
   auto hash_outcome = RunMigration(std::move(hash_run));
 
   EXPECT_GT(dirty_outcome.stats.tx_bytes.count,
@@ -438,8 +438,7 @@ TEST(Migration, VeCycleIsFasterThanBaselineAtHighSimilarity) {
     MigrationConfig config;
     config.strategy = strategy;
     auto run = bed->MakeRun(memory, config);
-    run.source_knowledge =
-        std::make_shared<const DigestSet>(std::move(knowledge));
+    run.source_knowledge = std::make_shared<const DigestMap>(knowledge);
     return RunMigration(std::move(run)).stats;
   };
 
@@ -468,7 +467,7 @@ TEST(Migration, ChecksumRateBoundsVeCycle) {
   MigrationConfig config;
   config.strategy = Strategy::kHashes;
   auto run = bed.MakeRun(memory, config);
-  run.source_knowledge = std::make_shared<const DigestSet>(DigestsOf(memory));
+  run.source_knowledge = std::make_shared<const DigestMap>(DigestsOf(memory));
   auto outcome = RunMigration(std::move(run));
   const double hash_seconds = 64.0 / 350.0;
   EXPECT_GT(ToSeconds(outcome.stats.total_time), hash_seconds * 0.9);
@@ -546,7 +545,7 @@ TEST(QueryProtocol, PingPongKnowledgeBypassesQueries) {
   auto run = bed.MakeRun(memory, config);
   // ping-pong fast path
   run.source_knowledge =
-      std::make_shared<const DigestSet>(DigestsOf(memory));
+      std::make_shared<const DigestMap>(DigestsOf(memory));
   auto outcome = RunMigration(std::move(run));
   EXPECT_EQ(outcome.stats.query_count, 0u);
 }
@@ -605,7 +604,7 @@ TEST(Compression, ComposesWithVeCycle) {
     config.strategy = Strategy::kHashes;
     config.compression.enabled = compress;
     auto run = bed.MakeRun(memory, config);
-    run.source_knowledge = std::make_shared<const DigestSet>(knowledge);
+    run.source_knowledge = std::make_shared<const DigestMap>(knowledge);
     return RunMigration(std::move(run)).stats;
   };
   const auto without = run_one(false);
@@ -638,7 +637,7 @@ TEST(Migration, ResizedVmIgnoresStaleCheckpoint) {
   config.strategy = Strategy::kHashes;
   auto run = bed.MakeRun(memory, config);
   run.source_knowledge =
-      std::make_shared<const DigestSet>(DigestsOf(old_memory));
+      std::make_shared<const DigestMap>(DigestsOf(old_memory));
   run.departure_generations = old_memory.Generations();
   auto outcome = RunMigration(std::move(run));
   EXPECT_TRUE(outcome.dest_memory->ContentEquals(memory));
@@ -667,7 +666,7 @@ TEST(Migration, CorruptCheckpointDegradesPerPage) {
   MigrationConfig config;
   config.strategy = Strategy::kHashes;
   auto run = bed.MakeRun(memory, config);
-  run.source_knowledge = std::make_shared<const DigestSet>(DigestsOf(memory));
+  run.source_knowledge = std::make_shared<const DigestMap>(DigestsOf(memory));
   auto outcome = RunMigration(std::move(run));
 
   EXPECT_TRUE(outcome.dest_memory->ContentEquals(memory));
@@ -688,7 +687,7 @@ TEST(Migration, IntactCheckpointPassesIntegrityCheck) {
   MigrationConfig config;
   config.strategy = Strategy::kHashes;
   auto run = bed.MakeRun(memory, config);
-  run.source_knowledge = std::make_shared<const DigestSet>(DigestsOf(memory));
+  run.source_knowledge = std::make_shared<const DigestMap>(DigestsOf(memory));
   auto outcome = RunMigration(std::move(run));
   EXPECT_GT(outcome.stats.pages_sent_checksum, 0u);  // recycled as normal
 }

@@ -417,7 +417,7 @@ TEST_P(MigrationSweep, InvariantsHold) {
   run.destination = {&dst_cpu, &dst_store};
   run.vm_id = "vm";
   run.config.strategy = param.strategy;
-  run.source_knowledge = std::make_shared<const DigestSet>(knowledge);
+  run.source_knowledge = std::make_shared<const DigestMap>(knowledge);
   run.departure_generations = departure;
 
   const auto outcome = migration::RunMigration(std::move(run));

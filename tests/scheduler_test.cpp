@@ -301,6 +301,50 @@ TEST(Scheduler, GangDedupSharesContentAcrossConcurrentSessions) {
   EXPECT_LT(gang.count, separate.count * 9 / 10);
 }
 
+TEST(Scheduler, EvictedCheckpointStaysReadableForTheReturnLeg) {
+  // VM x returns A -> H while VM y leaves H. H keeps one checkpoint, so
+  // y's write-back Save evicts x's checkpoint mid-leg. x's pages were
+  // swapped pairwise at A, so nearly every checksum record misses in
+  // place and is read from the checkpoint at another offset: the
+  // destination must keep reading the image it loaded, and x's leg must
+  // come out exactly as with an unbounded store.
+  const auto return_leg = [](std::size_t max_checkpoints) {
+    sim::Simulator simulator;
+    Cluster cluster(simulator);
+    cluster.AddHost({"A", sim::DiskConfig::Hdd(), {}, {}, {}});
+    HostConfig home{"H", sim::DiskConfig::Hdd(), {}, {}, {}};
+    home.retention.max_checkpoints = max_checkpoints;
+    cluster.AddHost(home);
+    cluster.Connect("A", "H", sim::LinkConfig::Lan());
+    SchedulerConfig config;
+    config.max_outgoing_per_host = 0;
+    config.max_incoming_per_host = 0;
+    MigrationScheduler scheduler(cluster, config);
+
+    auto x = MakeVm("x", MiB(64), 61);
+    auto y = MakeVm("y", MiB(4), 62);
+    x->SetCurrentHost("H");
+    y->SetCurrentHost("H");
+    scheduler.Submit(*x, "A", VeCycleConfig());
+    EXPECT_EQ(scheduler.Drain(), 1u);
+    vm::GuestMemory& memory = x->Memory();
+    for (vm::PageId p = 0; p + 1 < memory.PageCount(); p += 2) {
+      const std::uint64_t seed = memory.Seed(p);
+      memory.WritePage(p, memory.Seed(p + 1));
+      memory.WritePage(p + 1, seed);
+    }
+    const SessionId leg = scheduler.Submit(*x, "H", VeCycleConfig());
+    scheduler.Submit(*y, "A", FullConfig());
+    EXPECT_EQ(scheduler.Drain(), 2u);
+    EXPECT_EQ(cluster.GetHost("H").Store().Has("x"), max_checkpoints == 0);
+    return scheduler.FindCompletion(leg)->stats;
+  };
+  const auto bounded = return_leg(1);
+  const auto unbounded = return_leg(0);
+  EXPECT_EQ(bounded, unbounded);
+  EXPECT_GT(bounded.pages_from_checkpoint, bounded.pages_sent_checksum / 2);
+}
+
 // --- Admission control. ---
 
 TEST(Scheduler, OutgoingCapSerializesAndLiftsContention) {

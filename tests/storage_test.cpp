@@ -1,4 +1,4 @@
-// Checkpoints, the sorted checksum index (§3.3), and the per-host
+// Checkpoints, the checkpoint's checksum index (§3.3), and the per-host
 // checkpoint store with disk-time accounting.
 #include <gtest/gtest.h>
 
@@ -6,15 +6,17 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <map>
 #include <string>
 
 #include "audit/replay.hpp"
 #include "common/check.hpp"
 #include "common/rng.hpp"
+#include "digest/digest_map.hpp"
 #include "digest/md5.hpp"
+#include "net/message.hpp"
 #include "storage/checkpoint.hpp"
 #include "storage/checkpoint_store.hpp"
-#include "storage/checksum_index.hpp"
 #include "vm/guest_memory.hpp"
 
 namespace vecycle::storage {
@@ -230,17 +232,18 @@ TEST(CheckpointFile, LoadRejectsAPageCountTheFileCannotHold) {
   std::filesystem::remove(path);
 }
 
-// --- Checksum index. ---
+// --- Checksum index (Checkpoint::Index). ---
 
 TEST(ChecksumIndex, LookupFindsEveryPage) {
   auto memory = MakeMemory();
   const auto cp = Checkpoint::CaptureFrom(memory);
-  const auto index = ChecksumIndex::Build(cp, kSeedMode, DigestAlgorithm::kMd5);
+  const DigestMap index = cp.Index(kSeedMode, DigestAlgorithm::kMd5);
   for (vm::PageId page = 0; page < cp.PageCount(); ++page) {
-    const auto found =
-        index.Lookup(cp.DigestAt(page, kSeedMode, DigestAlgorithm::kMd5));
-    ASSERT_TRUE(found.has_value());
-    // Duplicates may resolve to a different offset with the same content.
+    const std::uint64_t* found =
+        index.Find(cp.DigestAt(page, kSeedMode, DigestAlgorithm::kMd5));
+    ASSERT_NE(found, nullptr);
+    // Duplicates resolve to the lowest page with the same content.
+    EXPECT_LE(*found, page);
     EXPECT_EQ(cp.SeedAt(*found), cp.SeedAt(page));
   }
 }
@@ -248,8 +251,8 @@ TEST(ChecksumIndex, LookupFindsEveryPage) {
 TEST(ChecksumIndex, MissingDigestReturnsNullopt) {
   auto memory = MakeMemory();
   const auto cp = Checkpoint::CaptureFrom(memory);
-  const auto index = ChecksumIndex::Build(cp, kSeedMode, DigestAlgorithm::kMd5);
-  EXPECT_FALSE(index.Lookup(Digest128::FromWords(0xdead, 0xbeef)).has_value());
+  const DigestMap index = cp.Index(kSeedMode, DigestAlgorithm::kMd5);
+  EXPECT_EQ(index.Find(Digest128::FromWords(0xdead, 0xbeef)), nullptr);
 }
 
 TEST(ChecksumIndex, DistinctCountCollapsesDuplicates) {
@@ -258,10 +261,13 @@ TEST(ChecksumIndex, DistinctCountCollapsesDuplicates) {
     memory.WritePage(p, p % 10);  // 10 distinct contents
   }
   const auto cp = Checkpoint::CaptureFrom(memory);
-  const auto index = ChecksumIndex::Build(cp, kSeedMode, DigestAlgorithm::kMd5);
-  EXPECT_EQ(index.EntryCount(), memory.PageCount());
-  EXPECT_EQ(index.DistinctDigests(), 10u);
-  EXPECT_EQ(index.DistinctDigestList().size(), 10u);
+  const DigestMap index = cp.Index(kSeedMode, DigestAlgorithm::kMd5);
+  EXPECT_EQ(index.Size(), 10u);
+  EXPECT_EQ(index.Keys().size(), 10u);
+  for (vm::PageId p = 0; p < 10; ++p) {
+    EXPECT_EQ(*index.Find(cp.DigestAt(p, kSeedMode, DigestAlgorithm::kMd5)),
+              p);
+  }
 }
 
 TEST(ChecksumIndex, BulkExchangeSizeMatchesPaperExample) {
@@ -272,8 +278,49 @@ TEST(ChecksumIndex, BulkExchangeSizeMatchesPaperExample) {
     memory.WritePage(p, p + 1000);
   }
   const auto cp = Checkpoint::CaptureFrom(memory);
-  const auto index = ChecksumIndex::Build(cp, kSeedMode, DigestAlgorithm::kMd5);
-  EXPECT_EQ(index.BulkExchangeSize(), KiB(16));
+  net::Message bulk;
+  bulk.type = net::MessageType::kBulkHashes;
+  bulk.bulk_hashes = cp.Index(kSeedMode, DigestAlgorithm::kMd5).Keys();
+  EXPECT_EQ(bulk.WireSize(DigestAlgorithm::kMd5) -
+                Bytes{net::kControlFrameBytes},
+            KiB(16));
+}
+
+TEST(ChecksumIndex, LowestPageMatchesFirstWinsModel) {
+  // Property: on random, heavily duplicated images carrying a damage
+  // overlay, the index maps every stored digest to the lowest page whose
+  // stored content has it — the offset lower_bound over a sorted
+  // (digest, page) list returns — and holds nothing else.
+  for (std::uint64_t trial = 0; trial < 40; ++trial) {
+    SplitMix64 rng(0x1d3e + trial);
+    const std::uint64_t pool = 1 + rng.Next() % 24;
+    vm::GuestMemory memory(Pages(1 + rng.Next() % 700), kSeedMode);
+    for (vm::PageId p = 0; p < memory.PageCount(); ++p) {
+      memory.WritePage(p, rng.Next() % pool);  // seed 0 is the zero page
+    }
+    auto cp = Checkpoint::CaptureFrom(memory);
+    for (vm::PageId p = 0; p < cp.PageCount(); ++p) {
+      // ~1 page in 8 rots, to pool content or to content seen nowhere.
+      if (rng.Next() % 8 == 0) {
+        cp.CorruptPageForTesting(
+            p, rng.Next() % 2 == 0 ? rng.Next() % pool : rng.Next() | 1);
+      }
+    }
+    for (const auto algorithm :
+         {DigestAlgorithm::kMd5, DigestAlgorithm::kFnv1a}) {
+      std::map<Digest128, vm::PageId> model;
+      for (vm::PageId p = 0; p < cp.PageCount(); ++p) {
+        model.emplace(cp.DigestAt(p, kSeedMode, algorithm), p);
+      }
+      const DigestMap index = cp.Index(kSeedMode, algorithm);
+      ASSERT_EQ(index.Size(), model.size()) << "trial " << trial;
+      for (const auto& [digest, page] : model) {
+        const std::uint64_t* found = index.Find(digest);
+        ASSERT_NE(found, nullptr) << "trial " << trial;
+        EXPECT_EQ(*found, page) << "trial " << trial;
+      }
+    }
+  }
 }
 
 // --- Checkpoint store. ---
@@ -434,7 +481,7 @@ TEST(Retention, UnlimitedByDefault) {
 TEST(CheckpointStore, ReadBlockIsRandomAccess) {
   sim::Disk disk(sim::DiskConfig::Hdd());
   CheckpointStore store(disk);
-  store.ReadBlock(kSimEpoch);
+  store.ReadBlock("vm", 0, kSimEpoch);
   EXPECT_EQ(disk.RandomReads(), 1u);
 }
 

@@ -215,7 +215,7 @@ MigrationStats RunReturnMigration(bool delta, std::uint64_t dirty_pages,
   config.audit = true;
   config.delta.enabled = delta;
   auto run = bed.MakeRun(memory, config);
-  run.source_knowledge = std::make_shared<const DigestSet>(knowledge);
+  run.source_knowledge = std::make_shared<const DigestMap>(knowledge);
   run.departure_generations = departure_generations;
   run.departure_seeds = departure_seeds;
   auto outcome = RunMigration(std::move(run));
@@ -289,7 +289,7 @@ TEST(DeltaEncoding, RottenBaselineDegradesPerPage) {
   config.audit = true;
   config.delta.enabled = true;
   auto run = bed.MakeRun(memory, config);
-  run.source_knowledge = std::make_shared<const DigestSet>(knowledge);
+  run.source_knowledge = std::make_shared<const DigestMap>(knowledge);
   run.departure_seeds = departure_seeds;
   auto outcome = RunMigration(std::move(run));
 
@@ -400,7 +400,7 @@ TEST(TransferStack, AllThreeCapabilitiesComposeUnderAudit) {
   config.stop_copy_threshold_pages = 128;
   auto run = bed.MakeRun(memory, config);
   run.workload = &writer;
-  run.source_knowledge = std::make_shared<const DigestSet>(knowledge);
+  run.source_knowledge = std::make_shared<const DigestMap>(knowledge);
   run.departure_generations = departure_generations;
   run.departure_seeds = departure_seeds;
   auto outcome = RunMigration(std::move(run));
