@@ -85,12 +85,14 @@ EvacuationResult Evacuate(std::size_t vm_count,
     run.source_knowledge = std::make_shared<const DigestMap>(knowledge[i]);
     sessions.push_back(
         std::make_unique<migration::MigrationSession>(std::move(run)));
+    sessions.back()->Start();
   }
   simulator.Run();
 
   EvacuationResult result{SimDuration::zero(), Bytes{0}};
   for (auto& session : sessions) {
     auto outcome = session->TakeOutcome();
+    session->RecordOutcome(outcome);
     // Wall-clock makespan of the whole evacuation (sessions all start at
     // t=0; setup staggering and contention both count).
     result.makespan =

@@ -1,10 +1,14 @@
 // Cluster topology: hosts and the links between them, sharing one
 // simulator. Links are full duplex and identified by unordered host pair.
+// Each host also has a dense index, its position in AddHost order, which
+// fleet bookkeeping (the scheduler's per-host slots) uses in place of the
+// id string.
 #pragma once
 
 #include <map>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -21,9 +25,11 @@ class Cluster {
 
   Host& AddHost(HostConfig config) {
     config.Validate();
-    VEC_CHECK_MSG(FindHost(config.id) == nullptr,
+    VEC_CHECK_MSG(!index_.contains(config.id),
                   "duplicate host id: " + config.id);
-    hosts_.push_back(std::make_unique<Host>(std::move(config)));
+    auto host = std::make_unique<Host>(std::move(config));
+    index_.emplace(host->Id(), hosts_.size());
+    hosts_.push_back(std::move(host));
     return *hosts_.back();
   }
 
@@ -40,16 +46,20 @@ class Cluster {
   }
 
   [[nodiscard]] Host* FindHost(const HostId& id) {
-    for (const auto& host : hosts_) {
-      if (host->Id() == id) return host.get();
-    }
-    return nullptr;
+    const auto it = index_.find(id);
+    return it == index_.end() ? nullptr : hosts_[it->second].get();
   }
   [[nodiscard]] const Host* FindHost(const HostId& id) const {
-    for (const auto& host : hosts_) {
-      if (host->Id() == id) return host.get();
-    }
-    return nullptr;
+    const auto it = index_.find(id);
+    return it == index_.end() ? nullptr : hosts_[it->second].get();
+  }
+
+  /// The host's dense index: its position in AddHost order, so
+  /// Hosts()[IndexOf(id)] is the host. Throws for an unknown id.
+  [[nodiscard]] std::size_t IndexOf(const HostId& id) const {
+    const auto it = index_.find(id);
+    VEC_CHECK_MSG(it != index_.end(), "unknown host: " + id);
+    return it->second;
   }
 
   [[nodiscard]] Host& GetHost(const HostId& id) {
@@ -128,6 +138,9 @@ class Cluster {
 
   sim::Simulator& simulator_;
   std::vector<std::unique_ptr<Host>> hosts_;
+  /// Host id -> position in hosts_. Lookups only: nothing iterates it, so
+  /// its hash order never reaches an output.
+  std::unordered_map<HostId, std::size_t> index_;
   std::map<std::pair<HostId, HostId>, std::unique_ptr<sim::Link>> links_;
 };
 

@@ -42,7 +42,7 @@ SimTime RetryNotBefore(SimTime when, SimDuration backoff,
 
 migration::MigrationRun BuildMigrationRun(
     Cluster& cluster, VmInstance& vm, const HostId& to,
-    const migration::MigrationConfig& config) {
+    const migration::MigrationConfig& config, migration::MigrationRun wiring) {
   const HostId& from = vm.CurrentHost();
   VEC_CHECK_MSG(!from.empty(), "VM is not deployed");
   VEC_CHECK_MSG(from != to, "VM " + vm.Id() + " is already on " + to);
@@ -50,8 +50,8 @@ migration::MigrationRun BuildMigrationRun(
   Host& dest_host = cluster.GetHost(to);
   const auto path = cluster.PathBetween(from, to);
 
-  migration::MigrationRun run;
-  run.simulator = &cluster.Simulator();
+  migration::MigrationRun run = std::move(wiring);
+  if (run.simulator == nullptr) run.simulator = &cluster.Simulator();
   run.link = path.link;
   run.direction = path.direction;
   run.source_memory = &vm.Memory();
@@ -64,24 +64,28 @@ migration::MigrationRun BuildMigrationRun(
   // knowledge of the destination's checksums all resolve through the
   // destination's checkpoint store — the system of record for what the VM
   // left there (empty when the checkpoint was evicted or never written).
-  // In PDES mode that store belongs to the destination shard, but
-  // admission happens at a barrier — no worker is running — so the read
-  // is race-free.
-  run.departure_generations = dest_host.Store().DepartureGenerations(vm.Id());
-  run.departure_seeds = dest_host.Store().BaselineSeeds(vm.Id());
+  // In PDES mode that store belongs to the destination shard, whose
+  // worker runs this at a barrier. The session keeps only what its
+  // strategy reads: generations for dirty tracking, seeds for deltas.
+  if (migration::UsesDirtyTracking(config.strategy)) {
+    run.departure_generations =
+        dest_host.Store().DepartureGenerations(vm.Id());
+  }
+  std::vector<std::uint64_t> seeds = dest_host.Store().BaselineSeeds(vm.Id());
   const vm::GuestMemory& memory = vm.Memory();
   if (migration::UsesContentHashes(config.strategy) &&
-      run.departure_seeds.size() == memory.PageCount()) {
+      seeds.size() == memory.PageCount()) {
     // The checkpoint's pages named as the source names its own: the
     // ping-pong fast path probes them without the §3.2 bulk exchange.
     std::vector<Digest128> digests;
-    digests.reserve(run.departure_seeds.size());
-    for (const std::uint64_t seed : run.departure_seeds) {
+    digests.reserve(seeds.size());
+    for (const std::uint64_t seed : seeds) {
       digests.push_back(
           vm::ContentDigest(memory.Mode(), config.algorithm, seed));
     }
     run.source_knowledge = std::make_shared<const DigestMap>(digests);
   }
+  if (config.delta.enabled) run.departure_seeds = std::move(seeds);
   // Checkpoint write-back happens inside the session (booked at the
   // destination completion time, not counted in migration time — §4.4)
   // so a session-private fault injector can still rot the saved image.
@@ -117,6 +121,7 @@ MigrationScheduler::MigrationScheduler(Cluster& cluster,
   for (const Host* host : cluster_.Hosts()) {
     VEC_CHECK_MSG(plan_.Covers(host->Id()),
                   "shard plan does not cover host: " + host->Id());
+    host_shards_.push_back(plan_.ShardOf(host->Id()));
   }
   // Observers that one object would feed from several workers at once
   // are rejected; per-shard auditors (below) replace the shared one, and
@@ -175,7 +180,7 @@ SessionId MigrationScheduler::Submit(VmInstance& vm, const HostId& to,
                                      int priority,
                                      CompletionCallback on_complete) {
   VEC_CHECK_MSG(!vm.CurrentHost().empty(), "VM is not deployed");
-  (void)cluster_.GetHost(to);  // existence check, before queueing
+  const std::size_t to_host = cluster_.IndexOf(to);  // before queueing
   config.Validate();
   // Flag- and env-armed tracing resolve to the one process-wide recorder,
   // which the shard workers would then write concurrently.
@@ -188,6 +193,7 @@ SessionId MigrationScheduler::Submit(VmInstance& vm, const HostId& to,
   request.id = next_id_++;
   request.vm = &vm;
   request.to = to;
+  request.to_host = to_host;
   request.config = config;
   request.priority = priority;
   request.on_complete = std::move(on_complete);
@@ -218,8 +224,8 @@ void MigrationScheduler::AdmitEligible() {
   // first is admitted, but that VM is busy by then.) Greedy over the
   // sorted candidates therefore reaches the same fixpoint the old
   // rescan-after-every-admission loop did, without its
-  // admissions × queue-length × string-map-lookup blowup, which
-  // dominated wall time at datacenter scale.
+  // admissions × queue-length blowup, which dominated wall time at
+  // datacenter scale.
   const SimTime now = CurrentTime();
   std::unordered_set<const VmInstance*> seen;
   seen.reserve(queued_.size());
@@ -241,79 +247,88 @@ void MigrationScheduler::AdmitEligible() {
                      return queued_[a].priority > queued_[b].priority;
                    });
 
-  std::vector<bool> admitted(queued_.size(), false);
-  bool any = false;
+  // Hosts may join the cluster between rounds.
+  outgoing_.resize(cluster_.HostCount(), 0);
+  incoming_.resize(cluster_.HostCount(), 0);
+  std::vector<bool> taken(queued_.size(), false);
+  std::vector<Running*> admitted;
   for (const std::size_t i : candidates) {
     const Request& request = queued_[i];
-    const HostId& from = request.vm->CurrentHost();
-    if (config_.max_outgoing_per_host != 0) {
-      const auto it = outgoing_.find(from);
-      if (it != outgoing_.end() &&
-          it->second >= config_.max_outgoing_per_host) {
-        continue;
-      }
+    const std::size_t from_host =
+        cluster_.IndexOf(request.vm->CurrentHost());
+    if (config_.max_outgoing_per_host != 0 &&
+        outgoing_[from_host] >= config_.max_outgoing_per_host) {
+      continue;
     }
-    if (config_.max_incoming_per_host != 0) {
-      const auto it = incoming_.find(request.to);
-      if (it != incoming_.end() &&
-          it->second >= config_.max_incoming_per_host) {
-        continue;
-      }
+    if (config_.max_incoming_per_host != 0 &&
+        incoming_[request.to_host] >= config_.max_incoming_per_host) {
+      continue;
     }
-    admitted[i] = true;
-    any = true;
-    Request taken = std::move(queued_[i]);
-    StartSession(std::move(taken));
+    taken[i] = true;
+    admitted.push_back(&Admit(std::move(queued_[i]), from_host));
   }
-  if (!any) return;
+  if (admitted.empty()) return;
 
   std::size_t write = 0;
   for (std::size_t i = 0; i < queued_.size(); ++i) {
-    if (admitted[i]) continue;
+    if (taken[i]) continue;
     if (write != i) queued_[write] = std::move(queued_[i]);
     ++write;
   }
   queued_.resize(write);
+  Launch(admitted);
 }
 
 SimTime MigrationScheduler::CurrentTime() const {
   return pdes_ != nullptr ? control_now_ : cluster_.Simulator().Now();
 }
 
-void MigrationScheduler::StartSession(Request request) {
-  const HostId from = request.vm->CurrentHost();
-  // Migrate()'s wiring, plus the session identity, the scheduler's
-  // instruments and the retry count.
-  migration::MigrationRun run =
-      BuildMigrationRun(cluster_, *request.vm, request.to, request.config);
+MigrationScheduler::Running& MigrationScheduler::Admit(
+    Request request, std::size_t from_host) {
+  const vm::GuestMemory& memory = request.vm->Memory();
   // Retries run under a fresh session id: channel ids (and so the
   // auditor's per-channel byte accounts) derive from the session id, and
   // the aborted attempt's wire bytes must not leak into the retry's
   // conservation checks. The caller-facing id stays `request.id`.
   const SessionId sid = request.attempts == 0 ? request.id : next_id_++;
+  Running running;
+  running.from = request.vm->CurrentHost();
+  running.from_host = from_host;
+  // Migrate()'s wiring (BuildMigrationRun, in the destination half) plus
+  // the session identity, the scheduler's instruments and the retry count.
+  migration::MigrationRun& run = running.run;
   run.session_id = sid;
   run.instruments = config_.instruments;
   run.attempt = request.attempts;
+  // Allocated here, on the coordinator: the VM keeps this memory after
+  // arrival, and memory a shard worker allocated would come from that
+  // thread's malloc arena, which cannot reuse the coordinator's freed
+  // images.
+  run.dest_memory =
+      std::make_unique<vm::GuestMemory>(memory.RamSize(), memory.Mode());
 
-  Running running;
-  running.from = from;
   if (config_.gang_dedup) {
     // The gang cache is sender-side state: every session of one gang has
     // the same source host, hence the same shard, so in PDES mode the
     // cache is only ever touched by that shard's worker.
     running.in_gang = true;
-    running.gang_key = {from, request.to};
-    Gang& gang = gangs_[running.gang_key];
+    Gang& gang = gangs_[{from_host, request.to_host}];
     ++gang.sessions;
     run.shared_dedup_cache = &gang.cache;
   }
 
   if (pdes_ != nullptr) {
-    const sim::ShardId src_shard = plan_.ShardOf(from);
-    const sim::ShardId dst_shard = plan_.ShardOf(request.to);
+    VEC_CHECK_MSG(from_host < host_shards_.size() &&
+                      request.to_host < host_shards_.size(),
+                  "host added after the sharded scheduler was built");
+    const sim::ShardId src_shard = host_shards_[from_host];
+    const sim::ShardId dst_shard = host_shards_[request.to_host];
+    running.src_shard = src_shard;
+    running.dst_shard = dst_shard;
     run.simulator = &pdes_->Shard(src_shard);
     run.instruments.auditor = shard_auditors_[src_shard].get();
     if (dst_shard != src_shard) {
+      // Routes are created lazily, on the coordinator only.
       run.dest_simulator = &pdes_->Shard(dst_shard);
       run.forward_delivery = &pdes_->Route(src_shard, dst_shard);
       run.backward_delivery = &pdes_->Route(dst_shard, src_shard);
@@ -338,21 +353,65 @@ void MigrationScheduler::StartSession(Request request) {
           sched_internal::ControlEvent{when, sid, true});
     };
   } else {
-    run.on_complete = [this, sid](SimTime when) {
-      OnSessionFinished(sid, when);
+    run.on_complete = [this, sid](SimTime) {
+      migration::MigrationSession* session = nullptr;
+      {
+        common::NullLockGuard lock(mu_);
+        session = running_.at(sid).session.get();
+      }
+      OnSessionFinished(sid, session->TakeOutcome());
     };
     run.on_failed = [this, sid](SimTime when) {
       OnSessionFailed(sid, when);
     };
   }
 
-  ++outgoing_[from];
-  ++incoming_[request.to];
+  ++outgoing_[from_host];
+  ++incoming_[request.to_host];
   busy_vms_.insert(request.vm);
   running.request = std::move(request);
-  running.session =
-      std::make_unique<migration::MigrationSession>(std::move(run));
-  running_.emplace(sid, std::move(running));
+  return running_.emplace(sid, std::move(running)).first->second;
+}
+
+void MigrationScheduler::Launch(const std::vector<Running*>& admitted) {
+  if (pdes_ == nullptr) {
+    for (Running* running : admitted) {
+      BuildSession(*running);
+      running->session->Start();
+    }
+    return;
+  }
+  // Per-shard lists in admission order. Each half touches the resources
+  // of one shard only — the destination's store, disk and CPU; the
+  // source's event heap and VM — and keeps its shard's serial order, so
+  // every per-resource sequence, event sequence number and auditor fold
+  // is what one thread running the sessions in admission order produces.
+  // (No destination half schedules an event; BuildSession checks.)
+  const std::uint32_t shard_count = pdes_->ShardCount();
+  std::vector<std::vector<Running*>> by_dst(shard_count);
+  std::vector<std::vector<Running*>> by_src(shard_count);
+  for (Running* running : admitted) {
+    by_dst[running->dst_shard].push_back(running);
+    by_src[running->src_shard].push_back(running);
+  }
+  pdes_->ForEachShard([this, &by_dst](sim::ShardId shard) {
+    for (Running* running : by_dst[shard]) BuildSession(*running);
+  });
+  pdes_->ForEachShard([&by_src](sim::ShardId shard) {
+    for (Running* running : by_src[shard]) running->session->Start();
+  });
+}
+
+void MigrationScheduler::BuildSession(Running& running) const {
+  running.session = std::make_unique<migration::MigrationSession>(
+      BuildMigrationRun(cluster_, *running.request.vm, running.request.to,
+                        running.request.config, std::move(running.run)));
+  // BuildMigrationRun names the pages of every geometry-matching
+  // checkpoint, so no scheduled session asks for the §3.2 bulk exchange:
+  // its destination half schedules no event, which is what lets the
+  // halves of one admission round run shard by shard.
+  VEC_CHECK_MSG(!running.session->AwaitsHashExchange(),
+                "a scheduled session must not need the bulk hash exchange");
 }
 
 MigrationScheduler::Request MigrationScheduler::ReleaseSlot(SessionId id) {
@@ -360,17 +419,17 @@ MigrationScheduler::Request MigrationScheduler::ReleaseSlot(SessionId id) {
   VEC_CHECK_MSG(it != running_.end(), "outcome for unknown session");
   Running& running = it->second;
 
-  const auto release = [](std::map<HostId, std::size_t>& counts,
-                          const HostId& host) {
-    const auto entry = counts.find(host);
-    VEC_CHECK_MSG(entry != counts.end() && entry->second > 0,
-                  "session count underflow for host " + host);
-    if (--entry->second == 0) counts.erase(entry);
+  const auto release = [this](std::vector<std::size_t>& counts,
+                              std::size_t host) {
+    VEC_CHECK_MSG(counts[host] > 0, "session count underflow for host " +
+                                         cluster_.Hosts()[host]->Id());
+    --counts[host];
   };
-  release(outgoing_, running.from);
-  release(incoming_, running.request.to);
+  release(outgoing_, running.from_host);
+  release(incoming_, running.request.to_host);
   if (running.in_gang) {
-    const auto gang = gangs_.find(running.gang_key);
+    const auto gang =
+        gangs_.find({running.from_host, running.request.to_host});
     VEC_CHECK_MSG(gang != gangs_.end() && gang->second.sessions > 0,
                   "gang refcount underflow");
     // An aborted session may leave entries for content whose carrier
@@ -390,14 +449,17 @@ MigrationScheduler::Request MigrationScheduler::ReleaseSlot(SessionId id) {
   return request;
 }
 
-void MigrationScheduler::OnSessionFinished(SessionId id, SimTime when) {
+void MigrationScheduler::OnSessionFinished(
+    SessionId id, migration::MigrationOutcome outcome) {
   Completion completion;
   CompletionCallback on_complete;
   {
     common::NullLockGuard lock(mu_);
     const auto it = running_.find(id);
     VEC_CHECK_MSG(it != running_.end(), "completion for unknown session");
-    auto outcome = it->second.session->TakeOutcome();
+    // A shared metrics registry is fed here, in (when, id) order, never
+    // from a shard worker.
+    it->second.session->RecordOutcome(outcome);
     const HostId from = it->second.from;
     Request request = ReleaseSlot(id);
     VmInstance& vm = *request.vm;
@@ -417,7 +479,6 @@ void MigrationScheduler::OnSessionFinished(SessionId id, SimTime when) {
     completions_.push_back(completion);
     on_complete = std::move(request.on_complete);
   }
-  (void)when;
 
   // The caller's callback runs outside the scheduler capability: it may
   // legitimately Submit() the VM's next leg, and that re-entry must not
@@ -591,15 +652,35 @@ SimTime MigrationScheduler::ControlStep(SimTime now) {
               if (a.when != b.when) return a.when < b.when;
               return a.id < b.id;
             });
+  // Each completed session's outcome — the end-state check and the audit
+  // fold into its source shard's auditor — is taken on that shard's
+  // worker, in (when, id) order within the shard, so every auditor folds
+  // what it folded when the coordinator took them all in that order.
+  std::vector<migration::MigrationOutcome> outcomes(events.size());
+  std::vector<std::vector<std::pair<migration::MigrationSession*,
+                                    migration::MigrationOutcome*>>>
+      takes(pdes_->ShardCount());
   {
     common::NullLockGuard lock(mu_);
     control_now_ = now;
+    for (std::size_t i = 0; i < events.size(); ++i) {
+      if (events[i].failed) continue;
+      const auto it = running_.find(events[i].id);
+      VEC_CHECK_MSG(it != running_.end(), "completion for unknown session");
+      takes[it->second.src_shard].emplace_back(it->second.session.get(),
+                                               &outcomes[i]);
+    }
   }
-  for (const auto& event : events) {
-    if (event.failed) {
-      OnSessionFailed(event.id, event.when);
+  pdes_->ForEachShard([&takes](sim::ShardId shard) {
+    for (const auto& [session, outcome] : takes[shard]) {
+      *outcome = session->TakeOutcome();
+    }
+  });
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    if (events[i].failed) {
+      OnSessionFailed(events[i].id, events[i].when);
     } else {
-      OnSessionFinished(event.id, event.when);
+      OnSessionFinished(events[i].id, std::move(outcomes[i]));
     }
   }
   common::NullLockGuard lock(mu_);

@@ -77,17 +77,21 @@ class MigrationAborted : public CheckFailure {
   explicit MigrationAborted(const std::string& what) : CheckFailure(what) {}
 };
 
-/// The MigrationRun of one leg of `vm`, from its current host to `to`,
-/// on the cluster's simulator — the wiring MigrationOrchestrator::Migrate
-/// and the scheduler share: the path, both hosts' CPUs and stores, what
-/// `to`'s store holds of the VM (dirty-tracking generations, delta
+/// The MigrationRun of one leg of `vm`, from its current host to `to` —
+/// the wiring MigrationOrchestrator::Migrate and the scheduler share: the
+/// path, both hosts' CPUs and stores, what `to`'s store holds of the VM
+/// (dirty-tracking generations for dirty-tracking strategies, the delta
 /// baseline and, for content-hash strategies, the checksum set the source
 /// probes instead of a §3.2 bulk exchange), and the in-session checkpoint
-/// write-back at the source. Session id, instruments, PDES routing and
-/// lifecycle hooks are left to the caller.
+/// write-back at the source. The caller's fields come in through
+/// `wiring` and are kept: session id, instruments, PDES routing, the
+/// destination's memory and lifecycle hooks. Its simulator defaults to
+/// the cluster's. Reads only `to`'s store and the cluster's immutable
+/// topology, so in PDES mode it runs on the destination shard's worker.
 [[nodiscard]] migration::MigrationRun BuildMigrationRun(
     Cluster& cluster, VmInstance& vm, const HostId& to,
-    const migration::MigrationConfig& config);
+    const migration::MigrationConfig& config,
+    migration::MigrationRun wiring = {});
 
 /// Arrival bookkeeping of a completed leg to `to`: the VM adopts the
 /// memory reconstructed at the destination (moved out of `outcome`) and
@@ -250,6 +254,7 @@ class MigrationScheduler {
     SessionId id = 0;  ///< caller-facing id, stable across retries
     VmInstance* vm = nullptr;
     HostId to;
+    std::size_t to_host = 0;  ///< Cluster::IndexOf(to)
     migration::MigrationConfig config;
     int priority = 0;
     CompletionCallback on_complete;
@@ -260,9 +265,17 @@ class MigrationScheduler {
   struct Running {
     Request request;
     HostId from;
+    std::size_t from_host = 0;  ///< Cluster::IndexOf(from)
+    /// Shards of the two endpoints (both 0 in single-simulator mode): the
+    /// destination half of the session is built on dst_shard's worker,
+    /// the source half started and the outcome taken on src_shard's.
+    sim::ShardId src_shard = 0;
+    sim::ShardId dst_shard = 0;
+    /// The scheduler's wiring, from admission until the destination half
+    /// completes it (BuildMigrationRun) and builds the session from it.
+    migration::MigrationRun run;
     std::unique_ptr<migration::MigrationSession> session;
     bool in_gang = false;
-    std::pair<HostId, HostId> gang_key;
   };
 
   /// One gang: the shared sender-side dedup cache plus a refcount of the
@@ -272,13 +285,28 @@ class MigrationScheduler {
     std::size_t sessions = 0;
   };
 
+  /// Admission decisions: admits what the caps allow, in priority order,
+  /// then launches the admitted sessions.
   void AdmitEligible() VEC_REQUIRES(mu_);
-  void StartSession(Request request) VEC_REQUIRES(mu_);
+  /// The serial bookkeeping of one admission: session id, slots, gang,
+  /// busy VM, shard routes and the destination's memory. Returns the
+  /// session's entry in running_, whose session is not built yet.
+  Running& Admit(Request request, std::size_t from_host) VEC_REQUIRES(mu_);
+  /// Builds and starts the sessions just admitted, in admission order:
+  /// in PDES mode every destination half on its shard's worker, then
+  /// every source half on its shard's worker (ForEachShard); with one
+  /// simulator each session's halves back to back, as Migrate does.
+  void Launch(const std::vector<Running*>& admitted);
+  /// The destination half of an admitted session: BuildMigrationRun and
+  /// the session's construction. Touches no member guarded by mu_.
+  void BuildSession(Running& running) const;
   /// Re-entry point for the retry-backoff wake event: acquires the
   /// scheduler capability, then admits (the simulator must never call
   /// into a VEC_REQUIRES method directly).
   void WakeAdmit();
-  void OnSessionFinished(SessionId id, SimTime when);
+  /// The serial end of a completion, given the session's taken outcome:
+  /// records it, frees the slots, moves the VM and calls the caller back.
+  void OnSessionFinished(SessionId id, migration::MigrationOutcome outcome);
   void OnSessionFailed(SessionId id, SimTime when);
   /// Tears down a running session's slot bookkeeping (host caps, gang
   /// refcount) and parks the session object; returns its Request.
@@ -290,9 +318,10 @@ class MigrationScheduler {
   [[nodiscard]] SimTime CurrentTime() const VEC_REQUIRES(mu_);
   /// PDES Drain(): the barrier-window loop around ShardedSimulator::Run.
   std::size_t DrainSharded();
-  /// Barrier hook for ShardedSimulator::Run — processes the window's
-  /// completions/failures in (when, id) order, admits, and returns the
-  /// earliest pending retry-backoff deadline (or kNoPendingEvent).
+  /// Barrier hook for ShardedSimulator::Run — takes the window's
+  /// outcomes on their source shards' workers, processes completions and
+  /// failures in (when, id) order, admits, and returns the earliest
+  /// pending retry-backoff deadline (or kNoPendingEvent).
   SimTime ControlStep(SimTime now);
   /// Minimum latency over links whose endpoints sit on different shards
   /// (Seconds(1.0) when no link crosses shards — the shards never talk).
@@ -309,6 +338,9 @@ class MigrationScheduler {
   sim::ShardPlan plan_;
   // vecycle-analyze: allow(concurrency-guarded-member) set once in the constructor, immutable afterwards
   std::size_t workers_ = 1;
+  /// Each host's shard, by Cluster host index; filled from the plan once.
+  // vecycle-analyze: allow(concurrency-guarded-member) filled once in the constructor, immutable afterwards
+  std::vector<sim::ShardId> host_shards_;
   /// One auditor per shard: each is fed by exactly one worker during
   /// windows and read by the coordinator only at barriers.
   // vecycle-analyze: allow(concurrency-guarded-member) vector immutable after construction; each auditor is fed by exactly one worker
@@ -336,12 +368,13 @@ class MigrationScheduler {
   std::vector<std::unique_ptr<migration::MigrationSession>> retired_
       VEC_GUARDED_BY(mu_);
 
-  /// Host admission counters are keyed by HostId in sorted order: fleet
-  /// diagnostics iterate them, and iteration order must not depend on
-  /// the HostId hash (determinism; see docs/analysis-tooling.md).
-  std::map<HostId, std::size_t> outgoing_ VEC_GUARDED_BY(mu_);
-  std::map<HostId, std::size_t> incoming_ VEC_GUARDED_BY(mu_);
-  std::map<std::pair<HostId, HostId>, Gang> gangs_ VEC_GUARDED_BY(mu_);
+  /// Sessions running out of and into each host, by Cluster host index
+  /// (grown to the host count at each admission round).
+  std::vector<std::size_t> outgoing_ VEC_GUARDED_BY(mu_);
+  std::vector<std::size_t> incoming_ VEC_GUARDED_BY(mu_);
+  /// Gangs by (source, destination) host index.
+  std::map<std::pair<std::size_t, std::size_t>, Gang> gangs_
+      VEC_GUARDED_BY(mu_);
 
   std::vector<Completion> completions_ VEC_GUARDED_BY(mu_);
   std::vector<Abort> aborts_ VEC_GUARDED_BY(mu_);

@@ -14,8 +14,16 @@ DestinationActor::DestinationActor(Params params)
   VEC_CHECK(params_.page_count > 0);
   VEC_CHECK_MSG(params_.forward_channels >= 1,
                 "destination needs at least one forward channel");
-  memory_ =
-      std::make_unique<vm::GuestMemory>(Pages(params_.page_count), params_.mode);
+  memory_ = std::move(params_.memory);
+  if (memory_ == nullptr) {
+    memory_ = std::make_unique<vm::GuestMemory>(Pages(params_.page_count),
+                                                params_.mode);
+  }
+  VEC_CHECK_MSG(memory_->PageCount() == params_.page_count &&
+                    memory_->Mode() == params_.mode &&
+                    memory_->TotalWrites() == 0,
+                "destination memory must be fresh, in the source's "
+                "geometry and mode");
 }
 
 SimTime DestinationActor::Prepare(SimTime start, bool send_bulk_hashes) {

@@ -47,6 +47,9 @@ class DestinationActor {
     /// done markers arrive once per channel; the destination acts only
     /// after all of them have landed (QEMU's MULTIFD_FLUSH semantics).
     std::uint32_t forward_channels = 1;
+    /// Fresh guest RAM of `page_count` pages in `mode` to reconstruct
+    /// into (MigrationRun::dest_memory); null allocates it here.
+    std::unique_ptr<vm::GuestMemory> memory;
   };
 
   explicit DestinationActor(Params params);

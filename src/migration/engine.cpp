@@ -269,12 +269,8 @@ struct MigrationSession::Impl {
     dest_params.mode = run.source_memory->Mode();
     dest_params.session_id = run.session_id;
     dest_params.forward_channels = nchan;
+    dest_params.memory = std::move(run.dest_memory);
     destination = std::make_unique<DestinationActor>(std::move(dest_params));
-
-    // Event-heap capacity hint: round 1 pumps ~page_count/batch_pages
-    // batches, each scheduling a pump continuation and a delivery.
-    simulator.Reserve(static_cast<std::size_t>(
-        run.source_memory->PageCount() / run.config.batch_pages + 16));
 
     const bool source_has_knowledge =
         run.source_knowledge != nullptr && !run.source_knowledge->Empty();
@@ -405,12 +401,22 @@ struct MigrationSession::Impl {
       MaybeFinish();
     };
 
-    // Destination setup (§3.3), then kick off round 1.
-    const SimTime setup_done = destination->Prepare(t0, need_bulk);
-    if (!need_bulk) {
-      source->Start(std::max(t0, setup_done));
-    }
-    // (When need_bulk, Start happens inside OnBulkHashes at arrival.)
+    // Destination setup (§3.3); Start() kicks off round 1.
+    awaits_bulk = need_bulk;
+    setup_done = destination->Prepare(t0, need_bulk);
+  }
+
+  /// The source half: round 1 begins once the destination is ready.
+  void Start() {
+    VEC_CHECK_MSG(!started, "migration session started twice");
+    started = true;
+    // Event-heap capacity hint: round 1 pumps ~page_count/batch_pages
+    // batches, each scheduling a pump continuation and a delivery.
+    run.simulator->Reserve(static_cast<std::size_t>(
+        run.source_memory->PageCount() / run.config.batch_pages + 16));
+    // With a bulk exchange, round 1 starts inside OnBulkHashes at the
+    // arrival of the destination's hashes instead.
+    if (!awaits_bulk) source->Start(std::max(start_time, setup_done));
   }
 
   ~Impl() {
@@ -595,6 +601,11 @@ struct MigrationSession::Impl {
     outcome.dest_memory->SetGenerations(run.source_memory->Generations());
 
     if (instruments.auditor != nullptr) AuditOutcome(outcome);
+    return outcome;
+  }
+
+  void RecordOutcome(const MigrationOutcome& outcome) const {
+    VEC_CHECK_MSG(finalized, "an outcome is recorded after it is taken");
     if (obs::TraceRecorder* tracer = instruments.tracer; tracer != nullptr) {
       // Durations only known now: the whole migration and the setup scan,
       // recorded retroactively on the session track (they would overlap
@@ -618,7 +629,6 @@ struct MigrationSession::Impl {
       RecordMigrationStats(*instruments.metrics, metric_label, outcome.stats,
                            run.session_id);
     }
-    return outcome;
   }
 
   MigrationRun run;
@@ -646,10 +656,15 @@ struct MigrationSession::Impl {
   obs::TrackId trace_source_track = 0;
 
   SimTime start_time = kSimEpoch;
+  /// When the destination's set-up (§3.3) is done; round 1 starts then.
+  SimTime setup_done = kSimEpoch;
   SimTime completed_at = kSimEpoch;
   SimTime finished_at = kSimEpoch;
   SimTime failed_at = kSimEpoch;
   SessionPhase phase = SessionPhase::kHashExchange;
+  /// The destination shipped its bulk hash set; round 1 waits for it.
+  bool awaits_bulk = false;
+  bool started = false;
   bool completed = false;
   bool source_finished = false;
   bool finalized = false;
@@ -660,6 +675,12 @@ MigrationSession::MigrationSession(MigrationRun run)
     : impl_(std::make_unique<Impl>(std::move(run))) {}
 
 MigrationSession::~MigrationSession() = default;
+
+void MigrationSession::Start() { impl_->Start(); }
+
+bool MigrationSession::AwaitsHashExchange() const {
+  return impl_->awaits_bulk;
+}
 
 bool MigrationSession::Completed() const { return impl_->completed; }
 
@@ -673,11 +694,18 @@ MigrationOutcome MigrationSession::TakeOutcome() {
   return impl_->Finalize();
 }
 
+void MigrationSession::RecordOutcome(const MigrationOutcome& outcome) const {
+  impl_->RecordOutcome(outcome);
+}
+
 MigrationOutcome RunMigration(MigrationRun run) {
   auto* simulator = run.simulator;
   MigrationSession session(std::move(run));
+  session.Start();
   simulator->Run();
-  return session.TakeOutcome();
+  MigrationOutcome outcome = session.TakeOutcome();
+  session.RecordOutcome(outcome);
+  return outcome;
 }
 
 }  // namespace vecycle::migration

@@ -90,6 +90,13 @@ struct MigrationRun {
   vm::GuestMemory* source_memory = nullptr;  ///< the live VM
   vm::Workload* workload = nullptr;          ///< nullable
 
+  /// Fresh memory of the source's geometry and mode for the destination
+  /// to reconstruct the VM into; null allocates it with the session. The
+  /// scheduler allocates it on the coordinator at admission, so memory
+  /// that the VM keeps after arrival comes from the coordinator's heap
+  /// even when the session is built on a shard worker.
+  std::unique_ptr<vm::GuestMemory> dest_memory;
+
   EndpointResources source;
   EndpointResources destination;
 
@@ -158,7 +165,8 @@ struct MigrationOutcome {
 
 /// Runs one migration to completion on `run.simulator` (which must not
 /// have unrelated pending events). Verifies the protocol reconstructed the
-/// memory exactly.
+/// memory exactly, and records the outcome into the run's trace and
+/// metrics.
 MigrationOutcome RunMigration(MigrationRun run);
 
 /// Explicit state machine of one migration session. Phases advance
@@ -189,16 +197,41 @@ class MigrationFailed : public CheckFailure {
 
 /// A migration wired up but not yet driven to completion: construct one
 /// (or several — they share links and CPUs and contend realistically,
-/// batch by batch), run the shared simulator, then TakeOutcome().
+/// batch by batch), Start() each, run the shared simulator, then
+/// TakeOutcome().
 ///
 ///   MigrationSession a(run_a);
 ///   MigrationSession b(run_b);   // same link, opposite or same direction
+///   a.Start();
+///   b.Start();
 ///   simulator.Run();
 ///   auto outcome_a = a.TakeOutcome();
+///   a.RecordOutcome(outcome_a);  // into the run's trace and metrics
+///
+/// Construction is the destination half and Start() the source half, so
+/// a sharded fleet can run each half on the worker of the shard whose
+/// state it touches.
 class MigrationSession {
  public:
+  /// The destination half: wires the channels, the actors and the
+  /// instrument claims, and runs the destination's §3.3 set-up
+  /// (DestinationActor::Prepare: checkpoint load and restore, on the
+  /// destination's store, disk and CPU). Schedules no event unless the
+  /// destination ships its §3.2 bulk hash set (AwaitsHashExchange()).
   explicit MigrationSession(MigrationRun run);
   ~MigrationSession();
+
+  /// The source half, called exactly once after construction: reserves
+  /// the source simulator's event heap and schedules round 1 at the
+  /// destination's readiness. Touches only the source's simulator and
+  /// the live VM. Without it the session never starts, unless it awaits
+  /// the bulk hash exchange, whose arrival starts round 1 either way.
+  void Start();
+
+  /// True when the session was built without knowledge of a restorable
+  /// destination checkpoint and the destination shipped its §3.2 bulk
+  /// hash set at set-up: round 1 starts at that message's arrival.
+  [[nodiscard]] bool AwaitsHashExchange() const;
 
   MigrationSession(const MigrationSession&) = delete;
   MigrationSession& operator=(const MigrationSession&) = delete;
@@ -216,8 +249,18 @@ class MigrationSession {
   [[nodiscard]] std::uint64_t Id() const;
 
   /// Collects statistics and the reconstructed memory; valid exactly once,
-  /// after completion.
+  /// after completion. Verifies that the destination reconstructed the
+  /// source's content and, under audit, checks conservation and folds the
+  /// outcome into the session auditor. Touches only the session, the live
+  /// VM and the auditors (reading the destination side's), so sessions of
+  /// different source shards may take their outcomes concurrently.
   MigrationOutcome TakeOutcome();
+
+  /// Records a taken outcome into the session's trace (the retroactive
+  /// set-up, migration and downtime spans) and metrics registry; a no-op
+  /// without them. Kept apart from TakeOutcome because the recorder and
+  /// the registry may be shared: a fleet records in one global order.
+  void RecordOutcome(const MigrationOutcome& outcome) const;
 
  private:
   struct Impl;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <condition_variable>
 #include <cstdlib>
+#include <exception>
 #include <mutex>
 #include <thread>
 #include <utility>
@@ -114,6 +115,57 @@ std::size_t ShardedSimulator::DrainMailboxes(SimTime window_end) {
   return merged;
 }
 
+/// Run()'s worker pool. The coordinator publishes a job — one call per
+/// shard — under a new generation; worker w runs it for the shards
+/// {s : s % size == w} and reports back. The condition-variable pair is
+/// the happens-before edge that lets workers read what the coordinator
+/// wrote before publishing (window_end_, barrier task lists) and the
+/// coordinator read shard state afterwards without further locking.
+struct ShardedSimulator::Pool {
+  std::mutex mu;
+  std::condition_variable work_ready;
+  std::condition_variable job_done;
+  std::uint64_t generation = 0;
+  std::size_t remaining = 0;
+  const ShardTask* job = nullptr;
+  bool stop = false;
+  /// One slot per shard, written only by the worker that owns the shard.
+  std::vector<std::exception_ptr> errors;
+  std::vector<std::thread> threads;
+};
+
+void ShardedSimulator::ForEachShard(const ShardTask& task) {
+  std::exception_ptr lowest;
+  if (pool_ == nullptr) {
+    for (ShardId s = 0; s < ShardCount(); ++s) {
+      try {
+        task(s);
+      } catch (...) {
+        if (lowest == nullptr) lowest = std::current_exception();
+      }
+    }
+  } else {
+    Pool& pool = *pool_;
+    {
+      std::lock_guard<std::mutex> lock(pool.mu);
+      pool.job = &task;
+      ++pool.generation;
+      pool.remaining = pool.threads.size();
+    }
+    pool.work_ready.notify_all();
+    {
+      std::unique_lock<std::mutex> lock(pool.mu);
+      pool.job_done.wait(lock, [&pool] { return pool.remaining == 0; });
+      pool.job = nullptr;
+    }
+    for (auto& error : pool.errors) {
+      if (lowest == nullptr) lowest = error;
+      error = nullptr;
+    }
+  }
+  if (lowest != nullptr) std::rethrow_exception(lowest);
+}
+
 SimTime ShardedSimulator::Run(std::size_t workers, SimDuration lookahead,
                               const ControlFn& control) {
   VEC_CHECK_MSG(lookahead > SimDuration::zero(),
@@ -121,72 +173,59 @@ SimTime ShardedSimulator::Run(std::size_t workers, SimDuration lookahead,
   const std::size_t shard_count = shards_.size();
   const std::size_t pool_size =
       std::min(workers == 0 ? std::size_t{1} : workers, shard_count);
-  const bool parallel = pool_size > 1;
 
-  // Window handshake: the coordinator publishes (generation, window end),
-  // workers run their shards and report back. The condition variable
-  // pair is the happens-before edge that lets workers read window_end_
-  // and the coordinator read shard state without further locking.
-  struct PoolState {
-    std::mutex mu;
-    std::condition_variable work_ready;
-    std::condition_variable window_done;
-    std::uint64_t generation = 0;
-    std::size_t remaining = 0;
-    SimTime window_end = kSimEpoch;
-    bool stop = false;
-  };
-  PoolState pool;
-  std::vector<std::exception_ptr> errors(shard_count);
-  std::vector<std::thread> threads;
-
-  if (parallel) {
-    threads.reserve(pool_size);
-    for (std::size_t w = 0; w < pool_size; ++w) {
-      // Worker w owns shards {s : s % pool_size == w} — a fixed mapping,
-      // though any mapping would do: shards share nothing inside a window.
-      threads.emplace_back([this, &pool, &errors, w, pool_size,
-                            shard_count] {
-        std::uint64_t seen = 0;
-        while (true) {
-          SimTime end = kSimEpoch;
-          {
-            std::unique_lock<std::mutex> lock(pool.mu);
-            pool.work_ready.wait(lock, [&pool, seen] {
-              return pool.stop || pool.generation != seen;
-            });
-            if (pool.stop) return;
-            seen = pool.generation;
-            end = pool.window_end;
-          }
-          for (std::size_t s = w; s < shard_count; s += pool_size) {
-            try {
-              shards_[s]->RunWindow(end);
-            } catch (...) {
-              errors[s] = std::current_exception();
-            }
-          }
-          {
-            std::lock_guard<std::mutex> lock(pool.mu);
-            if (--pool.remaining == 0) pool.window_done.notify_one();
-          }
-        }
-      });
-    }
-  }
-  const auto stop_pool = [&pool, &threads, parallel] {
-    if (!parallel) return;
+  Pool pool;
+  const auto stop_pool = [this, &pool] {
+    pool_ = nullptr;
+    if (pool.threads.empty()) return;
     {
       std::lock_guard<std::mutex> lock(pool.mu);
       pool.stop = true;
     }
     pool.work_ready.notify_all();
-    for (auto& thread : threads) thread.join();
-    threads.clear();
+    for (auto& thread : pool.threads) thread.join();
+    pool.threads.clear();
   };
 
   SimTime control_wake = kNoPendingEvent;
   try {
+    if (pool_size > 1) {
+      pool.errors.resize(shard_count);
+      pool.threads.reserve(pool_size);
+      for (std::size_t w = 0; w < pool_size; ++w) {
+        // Worker w owns shards {s : s % pool_size == w} — a fixed
+        // mapping, though any mapping would do: shards share nothing
+        // inside a window, and barrier tasks touch only their shard.
+        pool.threads.emplace_back([this, &pool, w, pool_size, shard_count] {
+          std::uint64_t seen = 0;
+          while (true) {
+            const ShardTask* job = nullptr;
+            {
+              std::unique_lock<std::mutex> lock(pool.mu);
+              pool.work_ready.wait(lock, [&pool, seen] {
+                return pool.stop || pool.generation != seen;
+              });
+              if (pool.stop) return;
+              seen = pool.generation;
+              job = pool.job;
+            }
+            for (std::size_t s = w; s < shard_count; s += pool_size) {
+              try {
+                (*job)(static_cast<ShardId>(s));
+              } catch (...) {
+                pool.errors[s] = std::current_exception();
+              }
+            }
+            {
+              std::lock_guard<std::mutex> lock(pool.mu);
+              if (--pool.remaining == 0) pool.job_done.notify_one();
+            }
+          }
+        });
+      }
+      pool_ = &pool;
+    }
+
     while (true) {
       SimTime window_start = NextEventTime();
       if (control_wake < window_start) window_start = control_wake;
@@ -194,29 +233,9 @@ SimTime ShardedSimulator::Run(std::size_t workers, SimDuration lookahead,
       const SimTime window_end = window_start + lookahead;
       window_end_ = window_end;
 
-      if (parallel) {
-        {
-          std::lock_guard<std::mutex> lock(pool.mu);
-          ++pool.generation;
-          pool.remaining = pool_size;
-          pool.window_end = window_end;
-        }
-        pool.work_ready.notify_all();
-        {
-          std::unique_lock<std::mutex> lock(pool.mu);
-          pool.window_done.wait(lock,
-                                [&pool] { return pool.remaining == 0; });
-        }
-        for (auto& error : errors) {
-          if (error != nullptr) {
-            std::exception_ptr raised = error;
-            error = nullptr;
-            std::rethrow_exception(raised);
-          }
-        }
-      } else {
-        for (auto& shard : shards_) shard->RunWindow(window_end);
-      }
+      ForEachShard([this, window_end](ShardId shard) {
+        shards_[shard]->RunWindow(window_end);
+      });
 
       DrainMailboxes(window_end);
       if (control != nullptr) {

@@ -25,6 +25,11 @@
 // never share mutable state inside a window and the merge order is
 // fixed, the observable behaviour (audit fingerprints, traces, stats)
 // is byte-identical for every W, including 1.
+//
+// The same workers also serve the control plane at a barrier:
+// ForEachShard runs one task per shard on the window pool, so work that
+// touches a single shard's state (a migration session's set-up or
+// end-state check) leaves the coordinator.
 #pragma once
 
 #include <cstdint>
@@ -115,13 +120,14 @@ struct Mailbox {
 /// barrier-window run loop.
 ///
 /// Thread model: between windows (construction, barriers, and after
-/// Run() returns) only the coordinating thread touches anything. Inside
-/// a window, shard s is touched exclusively by the worker that owns it —
-/// the per-shard Simulator keeps its zero-cost NullMutex for exactly
-/// this reason. The only cross-thread traffic is Post(), which appends
-/// to the posting shard's own mailbox under a real lock, and the worker
-/// pool handshake; the barrier provides the happens-before edge for
-/// everything else.
+/// Run() returns) only the coordinating thread touches anything, except
+/// inside a ForEachShard call, where each worker runs the tasks of the
+/// shards it owns while the coordinator waits. Inside a window, shard s
+/// is touched exclusively by the worker that owns it — the per-shard
+/// Simulator keeps its zero-cost NullMutex for exactly this reason. The
+/// only cross-thread traffic is Post(), which appends to the posting
+/// shard's own mailbox under a real lock, and the worker pool handshake;
+/// the handshake provides the happens-before edge for everything else.
 class ShardedSimulator {
  public:
   explicit ShardedSimulator(std::uint32_t shard_count);
@@ -156,6 +162,19 @@ class ShardedSimulator {
   /// Returns the next time the control plane wants to run even if no
   /// events pend (a retry-backoff deadline), or kNoPendingEvent.
   using ControlFn = std::function<SimTime(SimTime now)>;
+
+  /// One shard's share of a barrier parallel-for (ForEachShard).
+  using ShardTask = std::function<void(ShardId shard)>;
+
+  /// The barrier parallel-for: calls `task(s)` exactly once for every
+  /// shard s and returns when all calls have finished. Called from the
+  /// control hook while Run() has a worker pool, shard s's task runs on
+  /// worker s % W, the worker that runs shard s's windows; with W <= 1,
+  /// or outside Run(), the tasks run inline in shard order. A task may
+  /// touch only state its shard owns (or that nobody writes during the
+  /// call). When tasks throw, the exception of the lowest such shard is
+  /// rethrown after every task has finished.
+  void ForEachShard(const ShardTask& task);
 
   /// Runs every shard to completion under barrier-window synchronization
   /// with the given `lookahead` (must be positive). `workers` <= 1 runs
@@ -198,6 +217,9 @@ class ShardedSimulator {
   /// Coordinator only. Returns the number of merged events.
   std::size_t DrainMailboxes(SimTime window_end);
 
+  /// Run()'s worker pool; defined in sharded.cpp.
+  struct Pool;
+
   // Immutable after construction (coordinator wires routes before the
   // workers exist; Route() is documented coordinator-only).
   std::vector<std::unique_ptr<Simulator>> shards_;
@@ -209,6 +231,9 @@ class ShardedSimulator {
   /// Written at barriers only; read by Post() from workers — the barrier
   /// handshake orders those accesses.
   SimTime window_end_ = kSimEpoch;
+  /// The pool of the Run() in progress; null when Run() runs inline or
+  /// is not running. Coordinator only.
+  Pool* pool_ = nullptr;
 };
 
 }  // namespace vecycle::sim

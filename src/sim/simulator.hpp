@@ -73,10 +73,15 @@ class Simulator {
 
   /// Capacity hint: pre-sizes the event heap for `additional` upcoming
   /// events, so bursty schedulers (a migration pumping thousands of
-  /// batches) do not pay repeated heap-array reallocations.
+  /// batches) do not pay repeated heap-array reallocations. Grows
+  /// geometrically, as push_back does: an exact reserve per hint would
+  /// copy the whole heap on every session start.
   void Reserve(std::size_t additional) {
     common::NullLockGuard lock(mu_);
-    queue_.reserve(queue_.size() + additional);
+    const std::size_t wanted = queue_.size() + additional;
+    if (wanted > queue_.capacity()) {
+      queue_.reserve(std::max(wanted, 2 * queue_.capacity()));
+    }
   }
 
   /// Runs one event; returns false if the queue is empty.

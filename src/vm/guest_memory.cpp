@@ -1,5 +1,6 @@
 #include "vm/guest_memory.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cstring>
 
@@ -99,10 +100,11 @@ std::uint64_t GuestMemory::Generation(PageId page) const {
   return generations_[page];
 }
 
-void GuestMemory::SetGenerations(std::vector<std::uint64_t> generations) {
+void GuestMemory::SetGenerations(
+    const std::vector<std::uint64_t>& generations) {
   VEC_CHECK_MSG(generations.size() == seeds_.size(),
                 "generation vector does not match memory geometry");
-  generations_ = std::move(generations);
+  std::copy(generations.begin(), generations.end(), generations_.begin());
 }
 
 Digest128 GuestMemory::PageDigest(PageId page,

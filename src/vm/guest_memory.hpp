@@ -101,12 +101,13 @@ class GuestMemory {
     return generations_;
   }
 
-  /// Replaces the generation vector wholesale. The write-generation state
-  /// is part of the VM, not of the host: when a migration completes, the
-  /// destination's reconstructed memory adopts the source's counters so
-  /// dirty tracking stays continuous across hosts (as Miyakodori's
-  /// hypervisor-maintained vector does).
-  void SetGenerations(std::vector<std::uint64_t> generations);
+  /// Overwrites every page's generation counter. The write-generation
+  /// state is part of the VM, not of the host: when a migration
+  /// completes, the destination's reconstructed memory adopts the
+  /// source's counters so dirty tracking stays continuous across hosts
+  /// (as Miyakodori's hypervisor-maintained vector does). Copies into the
+  /// memory's own vector, so the calling thread allocates nothing.
+  void SetGenerations(const std::vector<std::uint64_t>& generations);
 
   /// Total writes ever applied; cheap global change detector for tests.
   [[nodiscard]] std::uint64_t TotalWrites() const { return total_writes_; }

@@ -68,7 +68,9 @@ TEST(Concurrency, TwoMigrationsShareTheLink) {
   auto mem1 = FilledMemory(MiB(64), 1);
   auto mem2 = FilledMemory(MiB(64), 2);
   MigrationSession s1(world.MakeRun(mem1, "vm1", sim::Direction::kAtoB));
+  s1.Start();
   MigrationSession s2(world.MakeRun(mem2, "vm2", sim::Direction::kAtoB));
+  s2.Start();
   world.simulator.Run();
   ASSERT_TRUE(s1.Completed());
   ASSERT_TRUE(s2.Completed());
@@ -87,7 +89,9 @@ TEST(Concurrency, SharingIsFair) {
   auto mem1 = FilledMemory(MiB(64), 3);
   auto mem2 = FilledMemory(MiB(64), 4);
   MigrationSession s1(world.MakeRun(mem1, "vm1", sim::Direction::kAtoB));
+  s1.Start();
   MigrationSession s2(world.MakeRun(mem2, "vm2", sim::Direction::kAtoB));
+  s2.Start();
   world.simulator.Run();
   const auto t1 = ToSeconds(s1.TakeOutcome().stats.total_time);
   const auto t2 = ToSeconds(s2.TakeOutcome().stats.total_time);
@@ -102,7 +106,9 @@ TEST(Concurrency, OppositeDirectionsDoNotContend) {
   auto mem1 = FilledMemory(MiB(64), 5);
   auto mem2 = FilledMemory(MiB(64), 6);
   MigrationSession s1(world.MakeRun(mem1, "vm1", sim::Direction::kAtoB));
+  s1.Start();
   MigrationSession s2(world.MakeRun(mem2, "vm2", sim::Direction::kBtoA));
+  s2.Start();
   world.simulator.Run();
   const auto t1 = ToSeconds(s1.TakeOutcome().stats.total_time);
   const auto t2 = ToSeconds(s2.TakeOutcome().stats.total_time);
@@ -123,6 +129,7 @@ TEST(Concurrency, FourWayPileUpStillCompletesCorrectly) {
     sessions.push_back(std::make_unique<MigrationSession>(world.MakeRun(
         memories[i], "vm" + std::to_string(i),
         i % 2 == 0 ? sim::Direction::kAtoB : sim::Direction::kBtoA)));
+    sessions.back()->Start();
   }
   world.simulator.Run();
   for (std::size_t i = 0; i < sessions.size(); ++i) {
@@ -137,6 +144,7 @@ TEST(Concurrency, TakeOutcomeBeforeCompletionThrows) {
   auto memory = FilledMemory(MiB(16), 20);
   MigrationSession session(
       world.MakeRun(memory, "vm", sim::Direction::kAtoB));
+  session.Start();
   EXPECT_FALSE(session.Completed());
   EXPECT_THROW(session.TakeOutcome(), CheckFailure);
   world.simulator.Run();
@@ -148,6 +156,7 @@ TEST(Concurrency, TakeOutcomeTwiceThrows) {
   auto memory = FilledMemory(MiB(16), 21);
   MigrationSession session(
       world.MakeRun(memory, "vm", sim::Direction::kAtoB));
+  session.Start();
   world.simulator.Run();
   (void)session.TakeOutcome();
   EXPECT_THROW(session.TakeOutcome(), CheckFailure);
@@ -187,7 +196,9 @@ TEST(GangDedup, SharedCacheCollapsesCrossVmDuplicates) {
       run2.shared_dedup_cache = &gang_cache;
     }
     MigrationSession s1(std::move(run1));
+    s1.Start();
     MigrationSession s2(std::move(run2));
+    s2.Start();
     world.simulator.Run();
     auto o1 = s1.TakeOutcome();
     auto o2 = s2.TakeOutcome();
@@ -217,7 +228,9 @@ TEST(GangDedup, PrivateCachesAreIndependent) {
   run1.config.strategy = Strategy::kDedup;
   run2.config.strategy = Strategy::kDedup;
   MigrationSession s1(std::move(run1));
+  s1.Start();
   MigrationSession s2(std::move(run2));
+  s2.Start();
   world.simulator.Run();
   const auto o1 = s1.TakeOutcome();
   const auto o2 = s2.TakeOutcome();
@@ -247,7 +260,9 @@ TEST(Concurrency, ConcurrentVeCycleAndBaselineShareSourceCpu) {
   run1.config.strategy = Strategy::kHashes;
   run1.source_knowledge = std::make_shared<const DigestMap>(knowledge);
   MigrationSession s1(std::move(run1));
+  s1.Start();
   MigrationSession s2(world.MakeRun(mem2, "vm2", sim::Direction::kAtoB));
+  s2.Start();
   world.simulator.Run();
 
   EXPECT_TRUE(s1.TakeOutcome().dest_memory->ContentEquals(mem1));

@@ -51,6 +51,33 @@ TEST(Cluster, RejectsDuplicateHosts) {
   EXPECT_THROW(cluster.AddHost({"A", {}, {}, {}, {}}), CheckFailure);
 }
 
+TEST(Cluster, HostsAreIndexedInAddHostOrder) {
+  sim::Simulator simulator;
+  Cluster cluster(simulator);
+  // Deliberately not in id order: the index is the AddHost position.
+  for (const char* id : {"h-c", "h-a", "h-b"}) {
+    cluster.AddHost({id, {}, {}, {}, {}});
+  }
+  EXPECT_THROW(cluster.AddHost({"h-a", {}, {}, {}, {}}), CheckFailure);
+
+  const std::vector<const Host*> hosts = cluster.Hosts();
+  ASSERT_EQ(hosts.size(), 3u);
+  ASSERT_EQ(cluster.HostCount(), 3u);
+  const std::vector<std::string> order = {"h-c", "h-a", "h-b"};
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    EXPECT_EQ(hosts[i]->Id(), order[i]);
+    EXPECT_EQ(cluster.IndexOf(order[i]), i);
+    EXPECT_EQ(cluster.FindHost(order[i]), hosts[i]);
+    EXPECT_EQ(&cluster.GetHost(order[i]), hosts[i]);
+  }
+
+  EXPECT_EQ(cluster.FindHost("h-d"), nullptr);
+  EXPECT_THROW((void)cluster.GetHost("h-d"), CheckFailure);
+  EXPECT_THROW((void)cluster.IndexOf("h-d"), CheckFailure);
+  EXPECT_THROW(cluster.Connect("h-a", "h-d", sim::LinkConfig::Lan()),
+               CheckFailure);
+}
+
 TEST(Cluster, RejectsSelfLink) {
   sim::Simulator simulator;
   Cluster cluster(simulator);

@@ -400,6 +400,7 @@ TEST(FaultRecovery, LinkOutageAbortsTheSessionWithoutAnOutcome) {
   auto run = bed.MakeRun(memory, config);
   run.on_failed = [&](SimTime) { failed_at_seen = true; };
   MigrationSession session(std::move(run));
+  session.Start();
   bed.simulator.Run();
 
   EXPECT_TRUE(session.Failed());
@@ -416,6 +417,7 @@ TEST(FaultRecovery, DestroyedSessionLeavesNoDanglingEvents) {
   config.strategy = Strategy::kHashes;
   {
     MigrationSession doomed(bed.MakeRun(memory, config));
+    doomed.Start();
     // Let it get partway through its protocol, then destroy it with its
     // remaining events still queued.
     bed.simulator.RunUntil(kSimEpoch + Milliseconds(5.0));

@@ -834,6 +834,7 @@ TEST_P(InstrumentClaim, TakesOnlyFreeSlotsAndGivesBackWhatItTook) {
       run.instruments.metrics = &metrics;
       {
         MigrationSession session(std::move(run));
+        session.Start();
         bed.simulator.Run();
         EXPECT_EQ(session.Failed(), outage);
         if (caller_first) {

@@ -1,26 +1,33 @@
 // Conservative-PDES sharding: ShardPlan determinism and validation, the
-// barrier-window lookahead contract, cross-shard migration sessions, and
-// the worker-count determinism sweep (ReplayCheck::VerifyWorkers) with
-// and without intra-shard faults, and the refusal of flag- and env-armed
-// tracing. Also covers the saturating retry-backoff arithmetic the PDES
-// control plane shares with the serial scheduler.
+// barrier-window lookahead contract, the barrier parallel-for
+// (ForEachShard), cross-shard migration sessions, and the worker-count
+// determinism sweep (ReplayCheck::VerifyWorkers) with and without
+// intra-shard faults and over warm ping-pong legs, and the refusal of
+// flag- and env-armed tracing. Also covers the saturating retry-backoff
+// arithmetic the PDES control plane shares with the serial scheduler.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <map>
 #include <memory>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "audit/replay.hpp"
 #include "common/check.hpp"
 #include "common/rng.hpp"
 #include "core/cluster.hpp"
+#include "core/orchestrator.hpp"
 #include "core/scheduler.hpp"
 #include "core/vm_instance.hpp"
 #include "fault/fault.hpp"
+#include "obs/metrics.hpp"
 #include "sim/link.hpp"
 #include "sim/sharded.hpp"
 #include "vm/guest_memory.hpp"
+#include "vm/workload.hpp"
 
 namespace vecycle::core {
 namespace {
@@ -97,6 +104,123 @@ TEST(ShardedSimulator, PostInsideTheWindowViolatesTheContract) {
     pdes.Post(0, 1, kSimEpoch + Milliseconds(2.0), [] {});
   });
   EXPECT_THROW(pdes.Run(1, Milliseconds(10.0)), CheckFailure);
+}
+
+// --- The barrier parallel-for (ForEachShard) ---------------------------
+
+/// Schedules one event per shard at t = 1 ms that records which thread
+/// ran the shard's window.
+void RecordWindowThreads(sim::ShardedSimulator& pdes,
+                         std::vector<std::thread::id>& threads) {
+  threads.assign(pdes.ShardCount(), std::thread::id{});
+  for (sim::ShardId s = 0; s < pdes.ShardCount(); ++s) {
+    pdes.Shard(s).ScheduleAt(kSimEpoch + Milliseconds(1.0), [&threads, s] {
+      threads[s] = std::this_thread::get_id();
+    });
+  }
+}
+
+TEST(ShardedSimulator, BarrierTasksRunOncePerShardOnTheWindowWorker) {
+  constexpr std::uint32_t kShards = 6;
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE(std::to_string(workers) + " workers");
+    sim::ShardedSimulator pdes(kShards);
+    std::vector<std::thread::id> window_threads;
+    RecordWindowThreads(pdes, window_threads);
+    std::vector<int> calls(kShards, 0);
+    std::vector<std::thread::id> task_threads(kShards);
+    std::vector<sim::ShardId> inline_order;
+    std::size_t barriers = 0;
+    pdes.Run(workers, Milliseconds(10.0), [&](SimTime) {
+      ++barriers;
+      for (int round = 0; round < 2; ++round) {
+        pdes.ForEachShard([&](sim::ShardId shard) {
+          ++calls[shard];
+          task_threads[shard] = std::this_thread::get_id();
+          if (workers <= 1) inline_order.push_back(shard);
+        });
+      }
+      return sim::kNoPendingEvent;
+    });
+    ASSERT_EQ(barriers, 1u);
+    for (sim::ShardId s = 0; s < kShards; ++s) {
+      EXPECT_EQ(calls[s], 2) << "shard " << s;
+      // A shard's barrier work runs where its windows run.
+      EXPECT_EQ(task_threads[s], window_threads[s]) << "shard " << s;
+    }
+    if (workers <= 1) {
+      EXPECT_EQ(task_threads[0], std::this_thread::get_id());
+      EXPECT_EQ(inline_order, (std::vector<sim::ShardId>{0, 1, 2, 3, 4, 5,
+                                                         0, 1, 2, 3, 4, 5}));
+    } else {
+      EXPECT_NE(task_threads[1], std::this_thread::get_id());
+    }
+  }
+
+  // Outside Run() the tasks run inline, in shard order.
+  sim::ShardedSimulator idle(3);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<sim::ShardId> order;
+  idle.ForEachShard([&](sim::ShardId shard) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    order.push_back(shard);
+  });
+  EXPECT_EQ(order, (std::vector<sim::ShardId>{0, 1, 2}));
+}
+
+TEST(ShardedSimulator, BarrierTaskErrorReachesTheCoordinatorAfterEveryTask) {
+  constexpr std::uint32_t kShards = 6;
+  // Shards 2 and 5 throw; the lowest one's exception surfaces, and only
+  // once every other shard's task has finished.
+  const auto task = [](std::vector<int>& ran) {
+    return [&ran](sim::ShardId shard) {
+      ran[shard] = 1;
+      if (shard == 2 || shard == 5) {
+        throw std::runtime_error("shard " + std::to_string(shard));
+      }
+    };
+  };
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE(std::to_string(workers) + " workers");
+    sim::ShardedSimulator pdes(kShards);
+    std::vector<std::thread::id> window_threads;
+    RecordWindowThreads(pdes, window_threads);
+    std::vector<int> ran(kShards, 0);
+    std::string caught;
+    try {
+      pdes.Run(workers, Milliseconds(10.0), [&](SimTime) {
+        pdes.ForEachShard(task(ran));
+        return sim::kNoPendingEvent;
+      });
+    } catch (const std::runtime_error& error) {
+      caught = error.what();
+    }
+    EXPECT_EQ(caught, "shard 2");
+    EXPECT_EQ(ran, std::vector<int>(kShards, 1));
+
+    // The pool is gone with the failed Run(); the next one starts afresh.
+    RecordWindowThreads(pdes, window_threads);
+    std::vector<int> calls(kShards, 0);
+    pdes.Run(workers, Milliseconds(10.0), [&](SimTime) {
+      pdes.ForEachShard([&](sim::ShardId shard) { ++calls[shard]; });
+      return sim::kNoPendingEvent;
+    });
+    EXPECT_EQ(calls, std::vector<int>(kShards, 1));
+    for (sim::ShardId s = 0; s < kShards; ++s) {
+      EXPECT_NE(window_threads[s], std::thread::id{}) << "shard " << s;
+    }
+  }
+
+  // Outside Run() the inline path keeps the same contract.
+  sim::ShardedSimulator idle(kShards);
+  std::vector<int> ran(kShards, 0);
+  try {
+    idle.ForEachShard(task(ran));
+    ADD_FAILURE() << "ForEachShard swallowed the tasks' exceptions";
+  } catch (const std::runtime_error& error) {
+    EXPECT_STREQ(error.what(), "shard 2");
+  }
+  EXPECT_EQ(ran, std::vector<int>(kShards, 1));
 }
 
 // --- Worker-count environment knob -------------------------------------
@@ -343,6 +467,158 @@ TEST(PdesDeterminism, MultifdSessionsReplayUnderChannelFaults) {
     return SplitMix64(folded ^ scheduler.Retries()).Next();
   };
   audit::ReplayCheck::VerifyWorkers(scenario, {1, 2, 4});
+}
+
+// --- Warm legs under PDES ----------------------------------------------
+
+/// What the worker sweep compares of one warm ping-pong run.
+struct PingPongRun {
+  std::vector<MigrationScheduler::Completion> completions;
+  std::uint64_t fingerprint = 0;
+  std::string metrics;
+};
+
+/// A miniature of perfbench's fleet_pingpong on RunMiniFleet's topology.
+/// Every VM makes a cold kHashes leg to its partner. After a dwell in
+/// which its idle workload rewrites a hot region, it makes a warm leg
+/// home, and after another dwell a warm leg out again. The warm legs
+/// restore the checkpoint the destination kept of the VM
+/// (DestinationActor::Prepare) and probe the source's knowledge of it.
+/// Gateway VMs cross shards, while host 1's VMs come into the gateway
+/// host in the same barriers.
+PingPongRun RunWarmPingPong(std::size_t workers) {
+  constexpr std::uint32_t kSites = 3;
+  constexpr std::uint32_t kHostsPerSite = 4;
+  constexpr std::uint64_t kVmsPerHost = 2;
+  sim::ShardedSimulator pdes(kSites);
+  core::Cluster cluster(pdes.Shard(0));
+  sim::ShardPlan plan;
+  const sim::LinkConfig intersite{GigabitsPerSecond(1.0), Milliseconds(5.0),
+                                  Bytes{0}};
+  for (std::uint32_t site = 0; site < kSites; ++site) {
+    for (std::uint32_t host = 0; host < kHostsPerSite; ++host) {
+      cluster.AddHost({HostName(site, host), sim::DiskConfig::Ssd(), {}, {}, {}});
+      plan.Assign(HostName(site, host), site);
+    }
+    for (std::uint32_t host = 0; host + 1 < kHostsPerSite; host += 2) {
+      cluster.Connect(HostName(site, host), HostName(site, host + 1),
+                      sim::LinkConfig::Lan());
+    }
+  }
+  for (std::uint32_t site = 0; site < kSites; ++site) {
+    cluster.Connect(HostName(site, 0), HostName((site + 1) % kSites, 0),
+                    intersite);
+  }
+
+  obs::MetricsRegistry metrics;
+  SchedulerConfig sconfig;
+  sconfig.workers = workers;
+  sconfig.instruments.metrics = &metrics;
+  MigrationOrchestrator orchestrator(cluster, pdes, plan, sconfig);
+  MigrationScheduler& scheduler = orchestrator.Scheduler();
+
+  std::vector<std::unique_ptr<VmInstance>> vms;
+  std::vector<VmInstance*> fleet;
+  std::vector<std::pair<std::string, std::string>> home_partner;
+  for (std::uint32_t site = 0; site < kSites; ++site) {
+    for (std::uint32_t host = 0; host < kHostsPerSite; ++host) {
+      for (std::uint64_t v = 0; v < kVmsPerHost; ++v) {
+        const std::uint64_t index = vms.size();
+        auto vm = std::make_unique<VmInstance>(
+            "vm-" + std::to_string(index), MiB(1), vm::ContentMode::kSeedOnly);
+        Xoshiro256 rng(0x9a11e0 + index);
+        vm::MemoryProfile{}.Apply(vm->Memory(), rng);
+        vm::IdleWorkload::Config idle;
+        idle.write_rate_pages_per_s = 2.0;
+        idle.hot_region_pages = 32;
+        idle.seed = 0x1d1e + index;
+        vm->SetWorkload(std::make_unique<vm::IdleWorkload>(idle));
+        orchestrator.Deploy(*vm, HostName(site, host));
+        home_partner.emplace_back(
+            HostName(site, host),
+            host == 0 ? HostName((site + 1) % kSites, 0)
+                      : HostName(site, host % 2 == 0 ? host + 1 : host - 1));
+        fleet.push_back(vm.get());
+        vms.push_back(std::move(vm));
+      }
+    }
+  }
+
+  migration::MigrationConfig config;
+  config.strategy = migration::Strategy::kHashes;
+  for (int leg = 0; leg < 3; ++leg) {
+    if (leg > 0) orchestrator.RunFor(fleet, Seconds(60.0));
+    for (std::size_t i = 0; i < fleet.size(); ++i) {
+      scheduler.Submit(*fleet[i],
+                       leg % 2 == 0 ? home_partner[i].second
+                                    : home_partner[i].first,
+                       config);
+    }
+    VEC_CHECK_MSG(scheduler.Drain() == fleet.size(),
+                  "warm ping-pong: not every VM migrated");
+  }
+
+  PingPongRun run;
+  run.completions = scheduler.Completions();
+  run.fingerprint = scheduler.CombinedFingerprint();
+  run.metrics = metrics.ToJson("pdes_test");
+  return run;
+}
+
+TEST(PdesDeterminism, WarmPingPongLegsMatchAtEveryWorkerCount) {
+  std::map<std::size_t, PingPongRun> runs;
+  audit::ReplayCheck::VerifyWorkers([&runs](std::size_t workers) {
+    PingPongRun run = RunWarmPingPong(workers);
+    std::uint64_t folded = run.fingerprint;
+    for (const auto& completion : run.completions) {
+      folded = SplitMix64(folded ^ completion.stats.tx_bytes.count).Next();
+      folded = SplitMix64(folded ^ static_cast<std::uint64_t>(
+                                       completion.completed_at.count()))
+                   .Next();
+    }
+    runs[workers] = std::move(run);
+    return folded;
+  });
+
+  // The warm legs did what they are here for: set-up restored a
+  // checkpoint, and the source probed it instead of sending every page.
+  const PingPongRun& reference = runs.at(1);
+  const std::size_t legs = reference.completions.size();
+  ASSERT_EQ(legs % 3, 0u);
+  bool cross_shard_warm_leg = false;
+  for (std::size_t i = 0; i < legs; ++i) {
+    const auto& completion = reference.completions[i];
+    if (i < legs / 3) {
+      EXPECT_EQ(completion.stats.pages_sent_checksum, 0u) << i;
+      continue;
+    }
+    EXPECT_GT(completion.stats.pages_sent_checksum, 0u) << i;
+    EXPECT_GT(completion.stats.pages_matched_in_place, 0u) << i;
+    EXPECT_GT(completion.stats.setup_time, SimDuration::zero()) << i;
+    EXPECT_LT(completion.stats.pages_sent_full,
+              completion.stats.pages_sent_checksum)
+        << i;
+    cross_shard_warm_leg |= completion.from.ends_with("-h0") &&
+                            completion.to.ends_with("-h0");
+  }
+  EXPECT_TRUE(cross_shard_warm_leg);
+  EXPECT_NE(reference.metrics.find("pages_sent_checksum"), std::string::npos);
+
+  for (const auto& [workers, run] : runs) {
+    SCOPED_TRACE(std::to_string(workers) + " workers");
+    EXPECT_EQ(run.fingerprint, reference.fingerprint);
+    EXPECT_EQ(run.metrics, reference.metrics);
+    ASSERT_EQ(run.completions.size(), legs);
+    for (std::size_t i = 0; i < legs; ++i) {
+      const auto& got = run.completions[i];
+      const auto& want = reference.completions[i];
+      EXPECT_EQ(got.id, want.id) << i;
+      EXPECT_EQ(got.from, want.from) << i;
+      EXPECT_EQ(got.to, want.to) << i;
+      EXPECT_EQ(got.stats, want.stats) << i;
+      EXPECT_EQ(got.completed_at, want.completed_at) << i;
+    }
+  }
 }
 
 // --- Instruments in PDES mode ------------------------------------------

@@ -174,8 +174,8 @@ TEST(SerialEquivalence, BackToBackVmsMatchSynchronousEngine) {
 
 /// An 8-VM fleet drained through tight per-host admission caps, as a
 /// ReplayCheck scenario. The slot accounting behind admission
-/// (outgoing_/incoming_) is deliberately an ordered std::map keyed by
-/// HostId: were it hash-ordered, admission sequence — and with it every
+/// (outgoing_/incoming_) is indexed by each host's AddHost position:
+/// were it hash-ordered, admission sequence — and with it every
 /// completion time below — could silently depend on bucket layout. The
 /// fingerprint folds in each completion's id, timing and bytes, so any
 /// admission reordering between the two runs diverges loudly.
